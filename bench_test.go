@@ -11,6 +11,7 @@ package kdap
 // experiment on this machine; cmd/kdapbench prints the actual rows.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -302,6 +303,33 @@ func BenchmarkGroupByDict(b *testing.B) {
 			if len(groups) == 0 {
 				b.Fatal("no groups")
 			}
+		}
+	})
+}
+
+// BenchmarkBucketSums measures bucketing a full-dataspace numeric
+// roll-up series (YearlyIncome over 40 equal-width intervals, the
+// explore default): the fused one-pass kernel against materializing the
+// series and bucketing it, which it replaces in facet scoring.
+func BenchmarkBucketSums(b *testing.B) {
+	e := NewEngine(AWOnline())
+	ex := e.Executor()
+	path, ok := e.Graph().PathFromFact("DimCustomer", "Customer")
+	if !ok {
+		b.Fatal("no path")
+	}
+	rows := ex.FactRows(nil)
+	iv := kdapcore.MakeIntervals(ex.NumericSeries(rows, "YearlyIncome", path, e.Measure()), 40)
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ex.BucketSumsCtx(context.Background(), rows, "YearlyIncome", path, e.Measure(), iv.Edges); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("series", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			iv.AggregateSeries(ex.NumericSeries(rows, "YearlyIncome", path, e.Measure()))
 		}
 	})
 }

@@ -89,14 +89,29 @@ func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V
 		f := &flight[V]{done: make(chan struct{})}
 		g.inflight[key] = f
 		g.mu.Unlock()
-		f.v, f.err = fn(ctx)
+		g.lead(ctx, key, f, fn)
+		return f.v, false, f.err
+	}
+}
+
+// lead runs fn as the key's leader and always releases the flight, even
+// when fn panics: the key is forgotten, waiters wake with ErrPanicked
+// instead of blocking until their own deadlines, and the panic resumes
+// in the leader's goroutine.
+func (g *Group[K, V]) lead(ctx context.Context, key K, f *flight[V], fn func(context.Context) (V, error)) {
+	f.err = ErrPanicked
+	defer func() {
 		g.mu.Lock()
 		delete(g.inflight, key)
 		g.mu.Unlock()
 		close(f.done)
-		return f.v, false, f.err
-	}
+	}()
+	f.v, f.err = fn(ctx)
 }
+
+// ErrPanicked is what waiters receive when the leader's computation
+// panicked; the leader itself re-panics.
+var ErrPanicked = errors.New("cache: shared computation panicked")
 
 // isContextErr reports whether err is a context cancellation or an
 // expired deadline — the results singleflight refuses to share and the

@@ -203,3 +203,56 @@ func TestGroupWaiterHonorsOwnContext(t *testing.T) {
 		t.Fatal("waiter did not observe its own cancellation")
 	}
 }
+
+// TestGroupLeaderPanicReleasesWaiters: a panicking computation re-panics
+// in the leader, wakes every waiter with ErrPanicked instead of leaving
+// it blocked until its own deadline, and forgets the key so the next
+// caller computes afresh.
+func TestGroupLeaderPanicReleasesWaiters(t *testing.T) {
+	var g Group[string, int]
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		g.Do(context.Background(), "k", func(context.Context) (int, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	waitFor(t, func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.inflight["k"] != nil
+	})
+
+	const n = 4
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, _, err := g.Do(context.Background(), "k", func(context.Context) (int, error) {
+				return 0, errors.New("waiter became leader; it should have joined the flight")
+			})
+			errs <- err
+		}()
+	}
+	waitFor(t, func() bool { return g.Waiting("k") == n })
+	close(release)
+
+	if p := <-leaderPanic; p != "boom" {
+		t.Fatalf("leader recovered %v, want the original panic", p)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrPanicked) {
+				t.Fatalf("waiter err = %v, want ErrPanicked", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiter still blocked after the leader panicked")
+		}
+	}
+	v, shared, err := g.Do(context.Background(), "k", func(context.Context) (int, error) { return 7, nil })
+	if v != 7 || shared || err != nil {
+		t.Fatalf("after panic: Do = %d, %v, %v; want a fresh computation", v, shared, err)
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kdap/internal/cache"
 	"kdap/internal/telemetry"
 	"kdap/internal/telemetry/profile"
 )
@@ -108,15 +109,27 @@ func (sc *scanScope) do(ctx context.Context, key string, fn func(context.Context
 		e := &scopeEntry{done: make(chan struct{})}
 		sc.m[key] = e
 		sc.mu.Unlock()
-		e.v, e.err = fn(ctx)
+		sc.lead(ctx, key, e, fn)
+		return e.v, e.err
+	}
+}
+
+// lead runs fn as the key's leader and always finishes the entry, even
+// when fn panics: members waiting on the key wake with
+// cache.ErrPanicked instead of blocking until their own deadlines (the
+// error stays memoized for the rest of the batch, like any other), and
+// the panic resumes in the leader's goroutine.
+func (sc *scanScope) lead(ctx context.Context, key string, e *scopeEntry, fn func(context.Context) (any, error)) {
+	e.err = cache.ErrPanicked
+	defer func() {
 		if e.err != nil && isContextErr(e.err) {
 			sc.mu.Lock()
 			delete(sc.m, key)
 			sc.mu.Unlock()
 		}
 		close(e.done)
-		return e.v, e.err
-	}
+	}()
+	e.v, e.err = fn(ctx)
 }
 
 // isContextErr mirrors cache.isContextErr for the scope's sharing rule.

@@ -3,9 +3,13 @@ package kdapcore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"kdap/internal/cache"
 )
 
 // The batch storm: many goroutines fire a small, highly duplicated
@@ -140,5 +144,50 @@ func TestBatchGatherCancellation(t *testing.T) {
 	}
 	if !bytes.Equal(got.Fingerprint(), want.Fingerprint()) {
 		t.Fatal("post-cancellation batched explore diverged from solo")
+	}
+}
+
+// TestScanScopeLeaderPanicReleasesMembers: a scan that panics re-panics
+// in the member that ran it and wakes every member waiting on the same
+// key with cache.ErrPanicked, instead of leaving them blocked until
+// their own deadlines; later members read the same error from the memo.
+func TestScanScopeLeaderPanicReleasesMembers(t *testing.T) {
+	sc := &scanScope{shared: new(atomic.Int64)}
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		sc.do(context.Background(), "k", func(context.Context) (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	const n = 4
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := sc.do(context.Background(), "k", func(context.Context) (any, error) {
+				return nil, errors.New("member recomputed a scan the leader owns")
+			})
+			errs <- err
+		}()
+	}
+	close(release)
+
+	if p := <-leaderPanic; p != "boom" {
+		t.Fatalf("leader recovered %v, want the original panic", p)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, cache.ErrPanicked) {
+				t.Fatalf("member err = %v, want cache.ErrPanicked", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("member still blocked after the leader panicked")
+		}
 	}
 }

@@ -18,24 +18,10 @@ type Intervals struct {
 // Buckets returns the number of basic intervals.
 func (iv Intervals) Buckets() int { return len(iv.Edges) - 1 }
 
-// Find returns the bucket index containing v, or -1 when v is outside the
-// domain.
-func (iv Intervals) Find(v float64) int {
-	n := iv.Buckets()
-	if n <= 0 || v < iv.Edges[0] || v > iv.Edges[n] {
-		return -1
-	}
-	if v == iv.Edges[n] {
-		return n - 1
-	}
-	i := sort.SearchFloat64s(iv.Edges, v)
-	// SearchFloat64s returns the first edge >= v; bucket is the one to
-	// the left unless v sits exactly on an edge.
-	if i < len(iv.Edges) && iv.Edges[i] == v {
-		return i
-	}
-	return i - 1
-}
+// Find returns the bucket index containing v, or -1 when v is NaN or
+// outside the domain. Membership is olap.BucketIndex, the definition the
+// fused roll-up kernel (olap.BucketSumsCtx) shares.
+func (iv Intervals) Find(v float64) int { return olap.BucketIndex(iv.Edges, v) }
 
 // Label renders bucket i the way the paper's Table 2 shows numeric
 // categories ("323 - 470").

@@ -88,8 +88,8 @@ type Engine struct {
 	ingestKept    atomic.Int64
 }
 
-// rowsEntry is one materialized fact-row set plus the fact length it
-// was computed (or last extended) against.
+// rowsEntry is one materialized fact-row set plus the fact length its
+// scans are known to cover (Executor.ScanCoverage when they started).
 type rowsEntry struct {
 	rows []int
 	upTo int
@@ -315,11 +315,12 @@ func (e *Engine) subspaceRowsCtx(ctx context.Context, sn *StarNet) ([]int, error
 	// Concurrent identical semijoins collapse into one scan; a cancelled
 	// leader's partial result is never shared (cache.Group's contract).
 	rows, _, err := e.rowsFlight.Do(ctx, sig, func(ctx context.Context) ([]int, error) {
+		upTo := e.exec.ScanCoverage()
 		rows, err := e.materializeRows(ctx, sn.Constraints(), sn.Filters)
 		if err != nil {
 			return nil, err
 		}
-		e.rowsCache.Put(sig, rowsEntry{rows: rows, upTo: n})
+		e.rowsCache.Put(sig, rowsEntry{rows: rows, upTo: upTo})
 		return rows, nil
 	})
 	return rows, err
@@ -375,6 +376,11 @@ func (e *Engine) extendRowsEntry(ctx context.Context, key string, ent rowsEntry,
 
 	_, sp := telemetry.StartSpan(ctx, "subspace_extend")
 	defer sp.End()
+	// The tail's semijoin reads the monolithic constraint bitsets, but a
+	// fact-column filter on it is planned over the partition's shards,
+	// which end at the old fact length until ExtendForAppend widens the
+	// last one; rows past them drop out of the filter.
+	upTo := min(n, e.exec.ScanCoverage())
 	tail, err := e.exec.FactRowsInRange(ctx, cs, ent.upTo, n)
 	if err != nil {
 		return nil, err
@@ -386,7 +392,7 @@ func (e *Engine) extendRowsEntry(ctx context.Context, key string, ent rowsEntry,
 		}
 	}
 	merged := mergeAscUnique(ent.rows, tail)
-	e.rowsCache.Put(key, rowsEntry{rows: merged, upTo: n})
+	e.rowsCache.Put(key, rowsEntry{rows: merged, upTo: upTo})
 	return merged, nil
 }
 
@@ -430,11 +436,12 @@ func (e *Engine) factRowsKeyed(ctx context.Context, key string, cs []olap.Constr
 		return e.extendRowsEntry(ctx, key, ent, n, cs, filters)
 	}
 	rows, _, err := e.rowsFlight.Do(ctx, key, func(ctx context.Context) ([]int, error) {
+		upTo := e.exec.ScanCoverage()
 		rows, err := e.materializeRows(ctx, cs, filters)
 		if err != nil {
 			return nil, err
 		}
-		e.rowsCache.Put(key, rowsEntry{rows: rows, upTo: n})
+		e.rowsCache.Put(key, rowsEntry{rows: rows, upTo: upTo})
 		return rows, nil
 	})
 	return rows, err

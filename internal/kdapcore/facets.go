@@ -2,6 +2,7 @@ package kdapcore
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -756,12 +757,11 @@ func (e *Engine) scoreNumericAttr(ctx context.Context, attr schemagraph.AttrRef,
 	var bestRU *rollup
 	for i := range rollups {
 		ru := &rollups[i]
-		bgVals, err := e.rollupSeries(ctx, ru, attr.Attr, path)
+		y, err := e.rollupBucketSums(ctx, ru, attr.Attr, path, iv)
 		if err != nil {
 			csp.End()
 			return nil, err
 		}
-		y := iv.AggregateSeries(bgVals)
 		xo, yo := OccupiedSeries(x, y)
 		s := evidenceScore(xo, yo, opts)
 		if s > best {
@@ -782,22 +782,28 @@ func (e *Engine) scoreNumericAttr(ctx context.Context, attr schemagraph.AttrRef,
 	return af, nil
 }
 
-// rollupSeries extracts a roll-up space's numeric series — through the
-// batch scope when one is attached, sharing the extraction among
-// concurrent requests over the same space.
-func (e *Engine) rollupSeries(ctx context.Context, ru *rollup, attr string, path schemagraph.JoinPath) ([]olap.ValueMeasure, error) {
+// rollupBucketSums buckets a roll-up space's numeric series into iv's
+// basic intervals in one fused pass — through the batch scope when one
+// is attached, sharing the pass among concurrent requests that bucket
+// the same space with the same edges. The result is shared and must not
+// be modified.
+func (e *Engine) rollupBucketSums(ctx context.Context, ru *rollup, attr string, path schemagraph.JoinPath, iv Intervals) ([]float64, error) {
 	sc := scanScopeOf(ctx)
 	if sc == nil {
-		return e.exec.NumericSeriesCtx(ctx, ru.rows, attr, path, e.measure)
+		return e.exec.BucketSumsCtx(ctx, ru.rows, attr, path, e.measure, iv.Edges)
 	}
-	key := "ns\x1f" + ru.key + "\x1f" + path.Role + "\x1f" + path.Source + "." + attr
-	v, err := sc.do(ctx, key, func(ctx context.Context) (any, error) {
-		return e.exec.NumericSeriesCtx(ctx, ru.rows, attr, path, e.measure)
+	key := make([]byte, 0, 64+8*len(iv.Edges))
+	key = append(key, "bs\x1f"+ru.key+"\x1f"+path.Role+"\x1f"+path.Source+"."+attr+"\x1f"...)
+	for _, edge := range iv.Edges {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(edge))
+	}
+	v, err := sc.do(ctx, string(key), func(ctx context.Context) (any, error) {
+		return e.exec.BucketSumsCtx(ctx, ru.rows, attr, path, e.measure, iv.Edges)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]olap.ValueMeasure), nil
+	return v.([]float64), nil
 }
 
 // numericInstances merges basic intervals into K display ranges and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -252,6 +253,56 @@ func TestSubspaceRowsExtendAcrossAppend(t *testing.T) {
 	}
 	if len(after) <= len(before) {
 		t.Fatalf("append did not grow the subspace: %d -> %d", len(before), len(after))
+	}
+}
+
+// A sharded semijoin that runs after an append has published its rows
+// but before ExtendForAppend has widened the last shard scans only the
+// old range. The cached row set must be labelled with that coverage, so
+// the next read after the widening extends it to the full answer. The
+// gap is replayed deterministically by appending through the fact
+// table, which publishes rows without touching the partition, for both
+// a subspace and a drill (filtered) row set.
+func TestRowsCacheCoverageAcrossShardGap(t *testing.T) {
+	const (
+		scale    = 20_000
+		resident = 12_000
+	)
+	wh, tail := dataset.AWOnlineScaledPartial(scale, resident)
+	e := ingestTestEngine(wh)
+	e.SetShards(8)
+	cold := ingestTestEngine(dataset.AWOnlineScaled(scale))
+	cold.SetShards(8)
+	for _, q := range []string{"Road Bikes", "Road Bikes UnitPrice>1000"} {
+		nets, err := e.Differentiate(q)
+		if err != nil || len(nets) == 0 {
+			t.Fatalf("differentiate %q: %v (%d nets)", q, err, len(nets))
+		}
+		e.SubspaceRows(nets[0]) // cached before the append, then extended
+	}
+
+	fact := wh.DB.Table(wh.Graph.FactTable())
+	if _, err := fact.AppendFacts(tail); err != nil {
+		t.Fatal(err)
+	}
+	gapNets, err := e.Differentiate("Helmets")
+	if err != nil || len(gapNets) == 0 {
+		t.Fatalf("differentiate Helmets: %v (%d nets)", err, len(gapNets))
+	}
+	e.SubspaceRows(gapNets[0]) // first built inside the gap
+	for _, q := range []string{"Road Bikes", "Road Bikes UnitPrice>1000"} {
+		nets, _ := e.Differentiate(q)
+		e.SubspaceRows(nets[0]) // extended inside the gap
+	}
+	e.Executor().ExtendForAppend(fact.Len())
+
+	for _, q := range []string{"Helmets", "Road Bikes", "Road Bikes UnitPrice>1000"} {
+		nets, _ := e.Differentiate(q)
+		coldNets, _ := cold.Differentiate(q)
+		got, want := e.SubspaceRows(nets[0]), cold.SubspaceRows(coldNets[0])
+		if !slices.Equal(got, want) {
+			t.Errorf("%q: cached row set has %d rows after the gap, from-scratch %d", q, len(got), len(want))
+		}
 	}
 }
 

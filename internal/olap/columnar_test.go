@@ -215,7 +215,9 @@ func TestDirtyDataColumnarMatchesReference(t *testing.T) {
 
 // A group whose every measure value is NaN must still appear (with the
 // aggregation's empty-state value), matching the reference semantics of
-// creating the state before evaluating the measure.
+// creating the state before evaluating the measure. Checked for the
+// row-at-a-time measure and for the vector form, whose SUM kernel keeps
+// only the running sum.
 func TestGroupByKeepsAllNaNMeasureGroups(t *testing.T) {
 	g, ex := dirtyWarehouse(t)
 	// A measure that is NaN for Widget A's only linked fact (row 0).
@@ -225,14 +227,18 @@ func TestGroupByKeepsAllNaNMeasureGroups(t *testing.T) {
 		}
 		return row[2].AsFloat()
 	}}
+	vm := m
+	vm.Vec = func() []float64 { return []float64{math.NaN(), 20, 40, 80} }
 	path, _ := g.PathFromFact("Prod", "Product")
 	all := ex.FactRows(nil)
-	got := ex.GroupBy(all, "Name", path, m, Sum)
-	want := ex.GroupByRef(all, "Name", path, m, Sum)
-	if len(got) != len(want) || len(got) != 2 {
-		t.Fatalf("got %v, want %v (both groups must appear)", got, want)
-	}
-	if got[relation.String("Widget A")] != 0 {
-		t.Errorf("all-NaN group sum = %v, want 0", got[relation.String("Widget A")])
+	for name, m := range map[string]Measure{"eval": m, "vector": vm} {
+		got := ex.GroupBy(all, "Name", path, m, Sum)
+		want := ex.GroupByRef(all, "Name", path, m, Sum)
+		if len(got) != len(want) || len(got) != 2 {
+			t.Fatalf("%s: got %v, want %v (both groups must appear)", name, got, want)
+		}
+		if got[relation.String("Widget A")] != 0 {
+			t.Errorf("%s: all-NaN group sum = %v, want 0", name, got[relation.String("Widget A")])
+		}
 	}
 }

@@ -179,11 +179,11 @@ func runStripes(nstripes, workers int, body func(i int)) {
 // (a group is "touched" when any row carries its code, even if every
 // measure value was NaN — matching the reference path, which creates a
 // group state before evaluating the measure).
-func (ex *Executor) groupScan(ctx context.Context, rows []int, codes []int32, ngroups int, m Measure) ([]aggState, []bool, error) {
+func (ex *Executor) groupScan(ctx context.Context, rows []int, codes []int32, ngroups int, m Measure, agg Agg) ([]aggState, []bool, error) {
 	if len(rows) < ParallelRowThreshold() {
 		ex.stats.serialScans.Add(1)
 		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
-		return ex.groupScanChunk(ctx, rows, codes, ngroups, m)
+		return ex.groupScanChunk(ctx, rows, codes, ngroups, m, agg)
 	}
 	spans := stripeSpans(len(rows))
 	workers := scanWorkers()
@@ -200,7 +200,7 @@ func (ex *Executor) groupScan(ctx context.Context, rows []int, codes []int32, ng
 	errs := make([]error, len(spans))
 	runStripes(len(spans), workers, func(i int) {
 		sp := spans[i]
-		states[i], touched[i], errs[i] = ex.groupScanChunk(ctx, rows[sp.lo:sp.hi], codes, ngroups, m)
+		states[i], touched[i], errs[i] = ex.groupScanChunk(ctx, rows[sp.lo:sp.hi], codes, ngroups, m, agg)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -223,7 +223,10 @@ func (ex *Executor) groupScan(ctx context.Context, rows []int, codes []int32, ng
 
 // groupScanChunk is the sequential fused scan+aggregate kernel over one
 // stripe of rows, checking for cancellation every cancelCheckRows rows.
-func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int32, ngroups int, m Measure) ([]aggState, []bool, error) {
+// For SUM over a measure vector it keeps only the running sum: the
+// same additions in the same order, without the count and min/max
+// updates final(Sum) never reads, so the sums are bit-identical.
+func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int32, ngroups int, m Measure, agg Agg) ([]aggState, []bool, error) {
 	states := make([]aggState, ngroups)
 	for g := range states {
 		states[g] = newAggState()
@@ -243,6 +246,17 @@ func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int3
 		}
 		end := min(base+cancelCheckRows, len(rows))
 		switch {
+		case vec != nil && agg == Sum:
+			for _, r := range rows[base:end] {
+				c := codes[r]
+				if c < 0 {
+					continue
+				}
+				touched[c] = true
+				if x := vec[r]; !math.IsNaN(x) {
+					states[c].sum += x
+				}
+			}
 		case vec != nil:
 			for _, r := range rows[base:end] {
 				c := codes[r]

@@ -111,7 +111,7 @@ func (ex *Executor) GroupByMultiCtx(ctx context.Context, rowSets [][]int, attr s
 	errs := make([]error, len(tasks))
 	runStripes(len(tasks), workers, func(i int) {
 		t := tasks[i]
-		states[t.set][t.stripe], touched[t.set][t.stripe], errs[i] = ex.groupScanChunk(ctx, t.rows, codes, ngroups, m)
+		states[t.set][t.stripe], touched[t.set][t.stripe], errs[i] = ex.groupScanChunk(ctx, t.rows, codes, ngroups, m, agg)
 	})
 	for _, err := range errs {
 		if err != nil {

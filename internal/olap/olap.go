@@ -390,6 +390,10 @@ func (ex *Executor) MapRows(rows []int, path schemagraph.JoinPath) []int {
 // cancellation between hops and every cancelCheckRows source rows, so a
 // semijoin over a large dimension stops promptly when the caller's
 // deadline fires. Returns ctx.Err() on cancellation.
+//
+// Each hop maps into a snapshot of its target: rows appended to the
+// target while the hop runs are left out, so a concurrent streaming
+// append can never push a row past the hop's bitset universe.
 func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph.JoinPath) ([]int, error) {
 	cur := rows
 	curTable := ex.g.DB().Table(path.Source)
@@ -399,6 +403,7 @@ func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph
 		if next == nil {
 			panic(fmt.Sprintf("olap: path references missing table %q", hop.ToTable))
 		}
+		nn := next.Len()
 		fromIdx := curTable.Schema().ColumnIndex(hop.FromCol)
 		if fromIdx < 0 {
 			panic(fmt.Sprintf("olap: %s has no column %q", hop.FromTable, hop.FromCol))
@@ -426,11 +431,12 @@ func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph
 				vals = append(vals, v)
 			}
 			cur, curTable = next.LookupIn(hop.ToCol, vals), next
+			cur = cur[:sort.SearchInts(cur, nn)]
 			continue
 		}
 		// A bitset over the next table dedups and sorts in one pass —
 		// ToSlice emits ascending row IDs.
-		seen := bitset.New(next.Len())
+		seen := bitset.New(nn)
 		for base := 0; base < len(cur); base += cancelCheckRows {
 			if done != nil {
 				if err := ctx.Err(); err != nil {
@@ -444,7 +450,9 @@ func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph
 					continue
 				}
 				for _, nr := range next.Lookup(hop.ToCol, v) {
-					seen.Add(nr)
+					if nr < nn {
+						seen.Add(nr)
+					}
 				}
 			}
 		}
@@ -483,6 +491,19 @@ func (ex *Executor) constraintSet(ctx context.Context, c Constraint) (*bitset.Se
 		ex.constraintBits.Put(sig, ext)
 		return ext, nil
 	}
+	s, err := ex.buildConstraintSet(ctx, c, n)
+	if err != nil {
+		return nil, err
+	}
+	ex.constraintBits.Put(sig, s)
+	return s, nil
+}
+
+// buildConstraintSet runs a constraint's semijoin into a bitset over
+// the first n fact rows. Fact rows appended after the caller read n are
+// clipped off, not added past the universe; extendConstraintSet picks
+// them up on the next read.
+func (ex *Executor) buildConstraintSet(ctx context.Context, c Constraint, n int) (*bitset.Set, error) {
 	t := ex.g.DB().Table(c.Table)
 	if t == nil {
 		panic(fmt.Sprintf("olap: constraint references missing table %q", c.Table))
@@ -492,9 +513,7 @@ func (ex *Executor) constraintSet(ctx context.Context, c Constraint) (*bitset.Se
 	if err != nil {
 		return nil, err
 	}
-	s := bitset.FromSorted(n, mapped)
-	ex.constraintBits.Put(sig, s)
-	return s, nil
+	return bitset.FromSorted(n, mapped[:sort.SearchInts(mapped, n)]), nil
 }
 
 // extendConstraintSet grows a constraint's fact-row set to universe n:
@@ -746,7 +765,7 @@ func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, pat
 		ex.stats.groupByEval.Add(1)
 	}
 	codes, dict := ex.attrCodes(attr, path)
-	states, touched, err := ex.groupScan(ctx, rows, codes, len(dict), m)
+	states, touched, err := ex.groupScan(ctx, rows, codes, len(dict), m, agg)
 	if err != nil {
 		return nil, err
 	}

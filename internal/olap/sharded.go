@@ -76,6 +76,21 @@ func (ex *Executor) ExtendForAppend(newN int) {
 	}
 }
 
+// ScanCoverage returns a fact length that every row-set scan starting
+// after the call covers. Under a partition that is the partition's row
+// count, which trails the fact length between an append publishing its
+// rows and ExtendForAppend widening the last shard: a sharded scan in
+// that gap sees only the old range. Callers that memoize a row set
+// label it with this, not FactLen, so the appended range is picked up
+// later instead of being marked as covered.
+func (ex *Executor) ScanCoverage() int {
+	n := ex.fact.Len()
+	if p := ex.partition.Load(); p != nil {
+		n = min(n, p.NumRows())
+	}
+	return n
+}
+
 // Partition returns the current fact partition, or nil when running
 // monolithically.
 func (ex *Executor) Partition() *shard.Partition { return ex.partition.Load() }

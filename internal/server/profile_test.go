@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"kdap/internal/telemetry/profile"
 )
@@ -181,7 +182,15 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 func TestSLOAndRuntimeMetrics(t *testing.T) {
 	ts := newTestServer(t)
 	postJSON(t, ts.URL, "/api/query", `{"db":"ebiz","q":"Columbus LCD"}`, nil)
+	// The request is classified when its wide event completes, which
+	// the middleware does after the response has reached the client:
+	// wait for that event rather than racing it.
+	const good = `kdap_slo_good_total{route="/api/query"} 1`
 	body := scrape(t, ts.URL)
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(body, good) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		body = scrape(t, ts.URL)
+	}
 	for _, want := range []string{
 		`kdap_slo_good_total{route="/api/query"}`,
 		`kdap_slo_bad_total{route="/api/query"}`,
@@ -199,7 +208,7 @@ func TestSLOAndRuntimeMetrics(t *testing.T) {
 		}
 	}
 	// The interactive test query is far under the 250ms target: good=1.
-	if !strings.Contains(body, `kdap_slo_good_total{route="/api/query"} 1`) {
+	if !strings.Contains(body, good) {
 		t.Errorf("query not classified good:\n%s", grepLines(body, "kdap_slo_"))
 	}
 }
