@@ -235,20 +235,20 @@ func qpsBatchedRun(wh *dataset.Warehouse, qs []workload.Query, picks [][]int) ([
 	opts := kdapcore.DefaultExploreOptions()
 	ctx := context.Background()
 	lats, wall, err := closedLoopRun(picks, func(qi int) error {
-		nets, _, err := e.DifferentiateBatchedCtx(ctx, qs[qi].Text)
+		nets, err := e.DifferentiateCtx(ctx, qs[qi].Text)
 		if err != nil {
 			return err
 		}
 		if len(nets) == 0 {
 			return fmt.Errorf("qps: %q: no interpretations", qs[qi].Text)
 		}
-		if _, _, err = e.ExploreBatchedCtx(ctx, nets[0], opts); emptySubspace(err) {
+		if _, err = e.ExploreCtx(ctx, nets[0], opts); emptySubspace(err) {
 			return nil
 		}
 		return err
 	})
-	st := e.BatchStats()
-	return lats, wall, st.SharedScans, st.SharedExplores + st.SharedDifferentiates, err
+	diff, expl, _ := e.AnswerCacheStats()
+	return lats, wall, e.BatchStats().SharedScans, diff.Coalesced + expl.Coalesced, err
 }
 
 // qpsProfiledRun is qpsBatchedRun with the per-request wide event enabled —
@@ -268,14 +268,14 @@ func qpsProfiledRun(wh *dataset.Warehouse, qs []workload.Query, picks [][]int) (
 			rec.Complete(p, 0, profile.DispositionError, err)
 			return err
 		}
-		nets, _, err := e.DifferentiateBatchedCtx(ctx, qs[qi].Text)
+		nets, err := e.DifferentiateCtx(ctx, qs[qi].Text)
 		if err != nil {
 			return fail(err)
 		}
 		if len(nets) == 0 {
 			return fail(fmt.Errorf("qps: %q: no interpretations", qs[qi].Text))
 		}
-		if _, _, err = e.ExploreBatchedCtx(ctx, nets[0], opts); err != nil && !emptySubspace(err) {
+		if _, err = e.ExploreCtx(ctx, nets[0], opts); err != nil && !emptySubspace(err) {
 			return fail(err)
 		}
 		rec.Complete(p, 200, profile.DispositionOK, nil)

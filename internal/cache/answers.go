@@ -13,9 +13,10 @@ import (
 // TTL-aware, size-bounded LRU store with singleflight fill. Callers go
 // through Do, which collapses concurrent identical requests into one
 // computation (losers wait and share the winner's result), refuses to
-// keep cancelled or caller-vetoed results, and stamps every entry with
-// the store's version so a Bump — a dataset reload, say — atomically
-// invalidates everything computed before it.
+// keep or share cancelled or caller-vetoed results, and stamps every
+// entry with the store's version so a Bump — a dataset reload, say —
+// atomically invalidates everything computed before it. A store of
+// capacity 0 keeps nothing and only coalesces in-flight computations.
 //
 // Values handed to Put/Do are shared between all future readers and
 // must be treated as immutable. Safe for concurrent use.
@@ -40,17 +41,17 @@ type Answers[V any] struct {
 	// than the computation's start sequence, and discards outright when
 	// the ring has already shed entries it would need (invalFloor).
 	invalSeq   atomic.Uint64
-	invals     []inval // guarded by mu; ascending seq
-	invalFloor uint64  // guarded by mu; newest seq dropped from the ring
+	invals     []inval[V] // guarded by mu; ascending seq
+	invalFloor uint64     // guarded by mu; newest seq dropped from the ring
 
-	hits, misses, evictions atomic.Int64
+	hits, misses, evictions, coalesced atomic.Int64
 }
 
 // inval is one recorded delta invalidation: answers whose computation
-// began at or before seq and whose key matches pred are stale.
-type inval struct {
+// began at or before seq and that match pred are stale.
+type inval[V any] struct {
 	seq  uint64
-	pred func(key string) bool
+	pred func(key string, v V) bool
 }
 
 // invalRing bounds how many delta invalidations are retained for
@@ -69,9 +70,12 @@ type aentry[V any] struct {
 }
 
 // fill carries a singleflight result plus how the leader obtained it.
+// shareable is false for an answer the leader's fn declined to store:
+// it answers the leader alone, never a waiter.
 type fill[V any] struct {
 	v         V
 	fromCache bool
+	shareable bool
 }
 
 // AnswerStats is a point-in-time snapshot of an answer store's
@@ -97,11 +101,12 @@ func (s AnswerStats) HitRate() float64 {
 }
 
 // NewAnswers creates an answer store holding at most capacity entries,
-// each expiring ttl after insertion (0 = no expiry). sizeOf estimates an
-// entry's resident bytes for the Bytes gauge; nil counts 1 per entry.
+// each expiring ttl after insertion (0 = no expiry); capacity 0 keeps
+// nothing and only coalesces. sizeOf estimates an entry's resident
+// bytes for the Bytes gauge; nil counts 1 per entry.
 func NewAnswers[V any](capacity int, ttl time.Duration, sizeOf func(V) int) *Answers[V] {
-	if capacity <= 0 {
-		panic("cache: non-positive answer capacity")
+	if capacity < 0 {
+		panic("cache: negative answer capacity")
 	}
 	if sizeOf == nil {
 		sizeOf = func(V) int { return 1 }
@@ -177,6 +182,9 @@ func (a *Answers[V]) Put(key string, v V) {
 // stored — a leader that began before an append cannot publish a
 // pre-append answer after the append's eviction pass ran.
 func (a *Answers[V]) put(key string, v V, version, startSeq uint64) {
+	if a.cap == 0 {
+		return
+	}
 	size := int64(a.sizeOf(v))
 	e := &aentry[V]{key: key, v: v, size: size, version: version}
 	if a.ttl > 0 {
@@ -188,7 +196,7 @@ func (a *Answers[V]) put(key string, v V, version, startSeq uint64) {
 		return
 	}
 	for i := len(a.invals) - 1; i >= 0 && a.invals[i].seq > startSeq; i-- {
-		if a.invals[i].pred(key) {
+		if a.invals[i].pred(key, v) {
 			return
 		}
 	}
@@ -203,16 +211,17 @@ func (a *Answers[V]) put(key string, v V, version, startSeq uint64) {
 	}
 }
 
-// EvictIf removes every stored answer whose key matches pred and
-// returns how many were dropped. The predicate is also recorded (see
-// put) so computations already in flight when EvictIf ran cannot
-// re-introduce an answer the eviction targeted. pred must be pure: it
-// is called under the store lock, now and on future puts.
-func (a *Answers[V]) EvictIf(pred func(key string) bool) int {
+// EvictIf removes every stored answer that matches pred (given its key
+// and value) and returns how many were dropped. The predicate is also
+// recorded (see put) so computations already in flight when EvictIf ran
+// cannot re-introduce an answer the eviction targeted: late puts are
+// checked against the value being put. pred must be pure: it is called
+// under the store lock, now and on future puts.
+func (a *Answers[V]) EvictIf(pred func(key string, v V) bool) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	seq := a.invalSeq.Add(1)
-	a.invals = append(a.invals, inval{seq: seq, pred: pred})
+	a.invals = append(a.invals, inval[V]{seq: seq, pred: pred})
 	if len(a.invals) > invalRing {
 		a.invalFloor = a.invals[0].seq
 		a.invals = append(a.invals[:0:0], a.invals[1:]...)
@@ -220,7 +229,7 @@ func (a *Answers[V]) EvictIf(pred func(key string) bool) int {
 	n := 0
 	for el := a.lru.Front(); el != nil; {
 		next := el.Next()
-		if pred(el.Value.(*aentry[V]).key) {
+		if e := el.Value.(*aentry[V]); pred(e.key, e.v) {
 			a.removeLocked(el)
 			a.evictions.Add(1)
 			n++
@@ -264,8 +273,9 @@ const (
 // Concurrent calls with the same key collapse into one fn invocation;
 // the rest wait and share the winner's result (never a cancelled one —
 // see Group.Do). fn's second result vetoes storage: return false for
-// answers that must not be cached (degraded/partial results). Errors
-// are never stored.
+// answers that must not be cached (degraded/partial results). A vetoed
+// answer is not shared either — waiters retry, and one becomes the
+// leader under its own context. Errors are never stored.
 func (a *Answers[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, bool, error)) (V, Outcome, error) {
 	if v, ok := a.Get(key); ok {
 		return v, OutcomeHit, nil
@@ -279,31 +289,36 @@ func (a *Answers[V]) Do(ctx context.Context, key string, fn func(context.Context
 // OutcomeHit is still possible — another caller may store the answer
 // between the caller's Get and the fill's re-check.
 func (a *Answers[V]) Compute(ctx context.Context, key string, fn func(context.Context) (V, bool, error)) (V, Outcome, error) {
-	ver := a.version.Load()
-	startSeq := a.invalSeq.Load()
-	r, shared, err := a.sf.Do(ctx, key, func(ctx context.Context) (fill[V], error) {
-		if v, ok := a.peek(key); ok {
-			return fill[V]{v: v, fromCache: true}, nil
+	for {
+		ver := a.version.Load()
+		startSeq := a.invalSeq.Load()
+		r, shared, err := a.sf.Do(ctx, key, func(ctx context.Context) (fill[V], error) {
+			if v, ok := a.peek(key); ok {
+				return fill[V]{v: v, fromCache: true, shareable: true}, nil
+			}
+			v, store, err := fn(ctx)
+			if err != nil {
+				return fill[V]{}, err
+			}
+			if store {
+				a.put(key, v, ver, startSeq)
+			}
+			return fill[V]{v: v, shareable: store}, nil
+		})
+		switch {
+		case err != nil:
+			var zero V
+			return zero, OutcomeMiss, err
+		case shared && !r.shareable:
+			continue // the leader's answer was its own (a partial one, say); retry
+		case shared:
+			a.coalesced.Add(1)
+			return r.v, OutcomeCoalesced, nil
+		case r.fromCache:
+			return r.v, OutcomeHit, nil
+		default:
+			return r.v, OutcomeMiss, nil
 		}
-		v, store, err := fn(ctx)
-		if err != nil {
-			return fill[V]{}, err
-		}
-		if store {
-			a.put(key, v, ver, startSeq)
-		}
-		return fill[V]{v: v}, nil
-	})
-	switch {
-	case err != nil:
-		var zero V
-		return zero, OutcomeMiss, err
-	case shared:
-		return r.v, OutcomeCoalesced, nil
-	case r.fromCache:
-		return r.v, OutcomeHit, nil
-	default:
-		return r.v, OutcomeMiss, nil
 	}
 }
 
@@ -328,7 +343,7 @@ func (a *Answers[V]) Stats() AnswerStats {
 		Hits:      a.hits.Load(),
 		Misses:    a.misses.Load(),
 		Evictions: a.evictions.Load(),
-		Coalesced: a.sf.Shared(),
+		Coalesced: a.coalesced.Load(),
 		Len:       n,
 		Bytes:     b,
 		Cap:       a.cap,

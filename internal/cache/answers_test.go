@@ -199,6 +199,84 @@ func TestAnswersStoreVeto(t *testing.T) {
 	}
 }
 
+// TestAnswersVetoedAnswerNotShared: a waiter never adopts an answer its
+// leader declined to store. The leader's degraded answer is its own (its
+// deadline degraded it); the waiter retries, leads, and computes the
+// complete answer under its own context.
+func TestAnswersVetoedAnswerNotShared(t *testing.T) {
+	a := NewAnswers[string](4, 0, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan string, 1)
+	go func() {
+		v, _, _ := a.Do(context.Background(), "k", func(context.Context) (string, bool, error) {
+			close(started)
+			<-release
+			return "partial", false, nil
+		})
+		leader <- v
+	}()
+	<-started
+	waiter := make(chan string, 1)
+	var outcome Outcome
+	go func() {
+		v, o, _ := a.Do(context.Background(), "k", func(context.Context) (string, bool, error) {
+			return "complete", true, nil
+		})
+		outcome = o
+		waiter <- v
+	}()
+	waitFor(t, func() bool { return a.Waiting("k") == 1 })
+	close(release)
+	if v := <-leader; v != "partial" {
+		t.Fatalf("leader got %q, want its own partial answer", v)
+	}
+	if v := <-waiter; v != "complete" || outcome != OutcomeMiss {
+		t.Fatalf("waiter got %q (outcome %v), want its own complete answer as a miss", v, outcome)
+	}
+	if st := a.Stats(); st.Coalesced != 0 {
+		t.Fatalf("coalesced = %d, want 0: a vetoed answer was shared", st.Coalesced)
+	}
+}
+
+// TestAnswersZeroCapacityCoalesces: a capacity-0 store keeps nothing
+// but still collapses concurrent identical computations into one.
+func TestAnswersZeroCapacityCoalesces(t *testing.T) {
+	a := NewAnswers[int](0, 0, nil)
+	release := make(chan struct{})
+	var calls atomic.Int32
+	fn := func(context.Context) (int, bool, error) {
+		calls.Add(1)
+		<-release
+		return 7, true, nil
+	}
+	const n = 4
+	var wg sync.WaitGroup
+	outcomes := make([]Outcome, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, o, err := a.Compute(context.Background(), "k", fn)
+			if err != nil || v != 7 {
+				t.Errorf("Compute: v=%d err=%v", v, err)
+			}
+			outcomes[i] = o
+		}(i)
+	}
+	waitFor(t, func() bool { return a.Waiting("k") == n-1 })
+	close(release)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("computations = %d, want 1", calls.Load())
+	}
+	if st := a.Stats(); st.Coalesced != n-1 || st.Len != 0 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want %d coalesced and nothing kept", st, n-1)
+	}
+	if _, ok := a.Get("k"); ok {
+		t.Fatal("capacity-0 store kept an answer")
+	}
+}
+
 // TestAnswersCancelledComputationNotCached: the PR 3 rule carried over —
 // a computation ended by cancellation caches nothing.
 func TestAnswersCancelledComputationNotCached(t *testing.T) {
@@ -223,7 +301,7 @@ func TestAnswersEvictIf(t *testing.T) {
 	a.Put("q:sales", 1)
 	a.Put("q:returns", 2)
 	a.Put("q:promo", 3)
-	n := a.EvictIf(func(key string) bool { return key == "q:sales" || key == "q:promo" })
+	n := a.EvictIf(func(key string, _ int) bool { return key == "q:sales" || key == "q:promo" })
 	if n != 2 {
 		t.Fatalf("EvictIf removed %d entries, want 2", n)
 	}
@@ -258,7 +336,7 @@ func TestAnswersEvictIfMidComputation(t *testing.T) {
 		})
 	}()
 	<-started
-	a.EvictIf(func(key string) bool { return key == "k" }) // rows appended mid-fill
+	a.EvictIf(func(key string, _ int) bool { return key == "k" }) // rows appended mid-fill
 	close(release)
 	<-done
 	if _, ok := a.Get("k"); ok {
@@ -278,7 +356,7 @@ func TestAnswersEvictIfRingOverflow(t *testing.T) {
 	a := NewAnswers[int](4, 0, nil)
 	ver, startSeq := a.version.Load(), a.invalSeq.Load()
 	for i := 0; i < invalRing+8; i++ {
-		a.EvictIf(func(string) bool { return false })
+		a.EvictIf(func(string, int) bool { return false })
 	}
 	a.put("k", 1, ver, startSeq) // leader that started before the storm
 	if _, ok := a.Get("k"); ok {

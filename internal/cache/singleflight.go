@@ -24,12 +24,7 @@ type flight[V any] struct {
 type Group[K comparable, V any] struct {
 	mu       sync.Mutex
 	inflight map[K]*flight[V]
-	shared   atomic.Int64
 }
-
-// Shared returns the lifetime count of calls that adopted another
-// caller's result instead of computing their own.
-func (g *Group[K, V]) Shared() int64 { return g.shared.Load() }
 
 // Waiting returns how many callers are currently blocked on the key's
 // in-flight computation (0 when none is running). Introspection for
@@ -83,7 +78,6 @@ func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V
 			if f.err != nil && isContextErr(f.err) {
 				continue // never share a cancelled result; retry, maybe as leader
 			}
-			g.shared.Add(1)
 			return f.v, true, f.err
 		}
 		f := &flight[V]{done: make(chan struct{})}

@@ -61,7 +61,7 @@ func TestBatchedFacetsByteIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f, _, err := batched.ExploreBatchedCtx(context.Background(), cases[i].sn, opts)
+			f, err := batched.ExploreCtx(context.Background(), cases[i].sn, opts)
 			if err != nil {
 				errs[i] = err.Error()
 				return

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"kdap/internal/dataset"
@@ -55,7 +56,7 @@ func Fig4(e *kdapcore.Engine, queries []workload.Query) ([]RankCurve, error) {
 		c := RankCurve{Method: method, WorstRank: 0}
 		within := [5]int{}
 		for _, q := range queries {
-			nets, err := e.DifferentiateRanked(q.Text, method)
+			nets, err := e.DifferentiateRankedCtx(context.Background(), q.Text, method)
 			if err != nil {
 				return nil, fmt.Errorf("query %d %q: %w", q.ID, q.Text, err)
 			}
@@ -90,7 +91,7 @@ func Fig4(e *kdapcore.Engine, queries []workload.Query) ([]RankCurve, error) {
 // first acceptable net (0 when absent) — used by tests and by the
 // per-query diagnostics of the bench harness.
 func QueryRank(e *kdapcore.Engine, q workload.Query, method kdapcore.RankMethod) (int, error) {
-	nets, err := e.DifferentiateRanked(q.Text, method)
+	nets, err := e.DifferentiateRankedCtx(context.Background(), q.Text, method)
 	if err != nil {
 		return 0, err
 	}

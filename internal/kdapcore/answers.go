@@ -1,21 +1,31 @@
 package kdapcore
 
-// Engine-level answer caching: finished Differentiate and Explore
-// results are kept in two versioned, TTL-aware, size-bounded stores
-// (cache.Answers) keyed by a canonicalized identity — normalized
-// keywords + rank method for Differentiate, subspace signature + every
-// result-shaping option for Explore. Lookups and fills go through
-// singleflight, so a storm of identical concurrent requests performs
-// the computation once; the rest wait and share it. Three rules keep
-// cached answers honest:
+// The request pipeline. Each phase — differentiate and explore — is one
+// private pipeline whose stages run in a fixed order:
 //
-//   - cancelled computations are never cached or shared (PR 3's rule,
-//     enforced by cache.Group/cache.Answers);
-//   - partial (deadline-degraded) facets are never cached — a complete
-//     answer must not be masked by a degraded one;
+//	answer-store lookup → batch gather → coalesce → compute → store
+//
+// and engine configuration switches them: SetAnswerCache turns on the
+// lookup and the store, SetBatching the gather (explore only:
+// differentiate runs no fact-table scans, so it never waits for
+// company), and either turns on coalescing. The one singleflight per
+// result kind is the one inside the phase's cache.Answers store: with
+// the answer cache on the store keeps up to its configured capacity;
+// with only batching on it has capacity 0, coalescing identical
+// in-flight requests and keeping nothing; with both off there is no
+// store and nothing coalesces. Four rules keep answers honest:
+//
+//   - cancelled computations are never cached or shared (enforced by
+//     cache.Group/cache.Answers);
+//   - partial (deadline-degraded) facets are never cached, and never
+//     handed to a coalesced waiter — the degradation belongs to the
+//     request whose deadline caused it;
 //   - every entry carries the data version current when its computation
 //     began, so InvalidateAnswers after a dataset reload atomically
-//     retires everything computed before it.
+//     retires everything computed before it;
+//   - an append evicts exactly the explore answers whose net's
+//     dependency scope gains rows (ingest.go), judged from the stored
+//     Facets.Net itself.
 //
 // Cached values ([]*StarNet, *Facets) are shared between callers and
 // treated as immutable — the established contract for both types once
@@ -30,64 +40,55 @@ import (
 
 	"kdap/internal/cache"
 	"kdap/internal/telemetry"
+	"kdap/internal/telemetry/profile"
 )
 
-// answerCacheTTLResolution is documentation-only: TTLs are exact, see
-// cache.Answers.
-
-// CacheOutcome classifies how an answer-cached call was served.
-type CacheOutcome int
+// cacheOutcome is how the pipeline served a request. It is recorded on
+// the request's wide event, from which the HTTP layer echoes it as the
+// X-KDAP-Cache header.
+type cacheOutcome string
 
 const (
-	// CacheBypass: no answer cache is configured, or the call is not
+	// cacheBypass: no answer cache is configured, or the call is not
 	// cacheable (an Explore with a CustomScore func has no canonical
 	// key).
-	CacheBypass CacheOutcome = iota
-	// CacheMiss: this call performed the computation (and cached it).
-	CacheMiss
-	// CacheHit: served from the store without computing.
-	CacheHit
-	// CacheCoalesced: an identical call was already in flight; this one
+	cacheBypass cacheOutcome = "bypass"
+	// cacheMiss: this call performed the computation (and cached it).
+	cacheMiss cacheOutcome = "miss"
+	// cacheHit: served from the store without computing.
+	cacheHit cacheOutcome = "hit"
+	// cacheCoalesced: an identical call was already in flight; this one
 	// waited and shared its result.
-	CacheCoalesced
+	cacheCoalesced cacheOutcome = "coalesced"
 )
-
-// String renders the outcome as its marker-header token.
-func (o CacheOutcome) String() string {
-	switch o {
-	case CacheMiss:
-		return "miss"
-	case CacheHit:
-		return "hit"
-	case CacheCoalesced:
-		return "coalesced"
-	default:
-		return "bypass"
-	}
-}
 
 // SetAnswerCache enables the engine's answer cache: up to entries
 // finished results per phase (Differentiate and Explore each), expiring
 // ttl after insertion (0 = no expiry). entries <= 0 disables caching.
 // Configure at startup — not safe to call concurrently with queries.
 func (e *Engine) SetAnswerCache(entries int, ttl time.Duration) {
-	if entries <= 0 {
-		e.diffAnswers, e.explAnswers, e.exploreDeps = nil, nil, nil
+	e.answerEntries, e.answerTTL = max(entries, 0), ttl
+	e.resetAnswerStores()
+}
+
+// resetAnswerStores rebuilds the per-phase answer stores from the
+// answer-cache and batching settings: a store exists whenever the
+// engine coalesces, and keeps answers only when the cache is on.
+func (e *Engine) resetAnswerStores() {
+	if e.answerEntries == 0 && e.batch.Load() == nil {
+		e.diffAnswers, e.explAnswers = nil, nil
 		return
 	}
-	e.diffAnswers = cache.NewAnswers[[]*StarNet](entries, ttl, netsFootprint)
-	e.explAnswers = cache.NewAnswers[*Facets](entries, ttl, facetsFootprint)
-	// The explore-key → star-net registry behind delta-scoped append
-	// invalidation (see ingest.go). Sized to the store: a key whose
-	// provenance has been evicted here is evicted conservatively there.
-	e.exploreDeps = cache.NewClock[string, *StarNet](entries)
+	e.diffAnswers = cache.NewAnswers[[]*StarNet](e.answerEntries, e.answerTTL, netsFootprint)
+	e.explAnswers = cache.NewAnswers[*Facets](e.answerEntries, e.answerTTL, facetsFootprint)
 }
 
 // AnswerCacheEnabled reports whether SetAnswerCache has been configured.
-func (e *Engine) AnswerCacheEnabled() bool { return e.diffAnswers != nil }
+func (e *Engine) AnswerCacheEnabled() bool { return e.answerEntries > 0 }
 
 // AnswerCacheStats snapshots both answer stores' counters; ok is false
-// when the cache is disabled.
+// when the engine neither caches nor coalesces. With batching alone the
+// stores keep nothing, and only Coalesced moves.
 func (e *Engine) AnswerCacheStats() (diff, expl cache.AnswerStats, ok bool) {
 	if e.diffAnswers == nil {
 		return cache.AnswerStats{}, cache.AnswerStats{}, false
@@ -131,7 +132,7 @@ func diffAnswerKey(query string, method RankMethod) string {
 // SegmentCacheMB are deliberately excluded — Parallel and
 // SegmentCacheMB produce identical output by contract (they shape
 // wall-clock and memory use only), and partial results are never
-// stored.
+// stored or shared.
 func ExploreCacheKey(sn *StarNet, o ExploreOptions) (key string, ok bool) {
 	if o.CustomScore != nil {
 		return "", false
@@ -165,98 +166,73 @@ func ExploreCacheKey(sn *StarNet, o ExploreOptions) (key string, ok bool) {
 	return b.String(), true
 }
 
-// DifferentiateCachedCtx is DifferentiateCtx through the answer cache,
-// reporting how the answer was served. Identical concurrent queries
-// collapse into one pipeline run; repeats within the TTL are served
-// from the store. The returned nets are shared — treat as immutable.
-func (e *Engine) DifferentiateCachedCtx(ctx context.Context, query string) ([]*StarNet, CacheOutcome, error) {
-	return e.differentiateCached(ctx, query, Standard)
-}
+// serve runs one request through a phase pipeline around its compute
+// stage (see the file comment). store is nil when the engine neither
+// caches nor coalesces or the request has no canonical key; gather
+// admits the request to the batch scheduler when batching is on. The
+// outcome of a successful request is recorded on its wide event.
+func serve[V any](ctx context.Context, e *Engine, store *cache.Answers[V], key string, gather bool,
+	compute func(context.Context) (V, bool, error)) (V, error) {
 
-func (e *Engine) differentiateCached(ctx context.Context, query string, method RankMethod) ([]*StarNet, CacheOutcome, error) {
-	if e.diffAnswers == nil {
-		nets, err := e.differentiateRanked(ctx, query, method)
-		return nets, CacheBypass, err
-	}
-	key := diffAnswerKey(query, method)
-	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
-	nets, ok := e.diffAnswers.Get(key)
-	sp.End()
-	if ok {
-		return nets, CacheHit, nil
-	}
-	nets, outcome, err := e.diffAnswers.Compute(ctx, key, func(ctx context.Context) ([]*StarNet, bool, error) {
-		nets, err := e.differentiateRanked(ctx, query, method)
-		return nets, err == nil, err
-	})
-	return nets, fromAnswerOutcome(outcome), err
-}
-
-// ExploreCachedCtx is ExploreCtx through the answer cache, reporting
-// how the answer was served. The returned facets are a shallow copy
-// bound to the caller's own net; their inner structure is shared and
-// must be treated as immutable.
-func (e *Engine) ExploreCachedCtx(ctx context.Context, sn *StarNet, opts ExploreOptions) (*Facets, CacheOutcome, error) {
-	if e.explAnswers == nil {
-		f, err := e.exploreUncached(ctx, sn, opts)
-		return f, CacheBypass, err
-	}
-	key, cacheable := ExploreCacheKey(sn, opts)
-	if !cacheable {
-		f, err := e.exploreUncached(ctx, sn, opts)
-		return f, CacheBypass, err
-	}
-	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
-	f, ok := e.explAnswers.Get(key)
-	sp.End()
-	if ok {
-		// The key's provenance was registered when the entry was first
-		// computed; re-registering per hit would put a mutex acquisition
-		// on the hot path (measured as a warm-hit + QPS regression). If
-		// the registry entry has aged out in the meantime, an append
-		// simply evicts this key conservatively (ingest.go).
-		return rebindFacets(f, sn), CacheHit, nil
-	}
-	// Record the key's provenance before the fill so a streaming append
-	// can decide whether its rows touch this answer's sub-dataspace
-	// (ingest.go) — present from the moment the entry becomes visible.
-	// Nets are immutable once built, so sharing the pointer is safe.
-	e.exploreDeps.Put(key, sn)
-	f, outcome, err := e.explAnswers.Compute(ctx, key, func(ctx context.Context) (*Facets, bool, error) {
-		f, err := e.exploreUncached(ctx, sn, opts)
-		if err != nil {
-			return nil, false, err
+	p := profile.FromContext(ctx)
+	caching := store != nil && e.AnswerCacheEnabled()
+	if caching {
+		_, sp := telemetry.StartSpan(ctx, "cache_lookup")
+		v, ok := store.Get(key)
+		sp.End()
+		if ok {
+			p.SetCacheOutcome(string(cacheHit))
+			return v, nil
 		}
-		// A deadline-degraded result answers this caller but must not
-		// shadow the complete answer for everyone after it.
-		return f, !f.Partial, nil
-	})
+	}
+	b := e.batch.Load()
+	if b != nil && gather {
+		_, gsp := telemetry.StartSpan(ctx, "batch_gather")
+		scope, err := b.join(ctx)
+		gsp.End()
+		if err != nil {
+			var zero V
+			return zero, err
+		}
+		ctx = withScanScope(ctx, scope)
+		p.SetBatch(scope.batchID, scope.size)
+	}
+	if store == nil {
+		v, _, err := compute(ctx)
+		if err == nil {
+			p.SetCacheOutcome(string(cacheBypass))
+		}
+		return v, err
+	}
+	t0 := time.Now()
+	v, oc, err := store.Compute(ctx, key, compute)
 	if err != nil {
-		return nil, fromAnswerOutcome(outcome), err
+		return v, err
 	}
-	return rebindFacets(f, sn), fromAnswerOutcome(outcome), nil
+	out := cacheMiss
+	switch {
+	case oc == cache.OutcomeHit:
+		out = cacheHit
+	case oc == cache.OutcomeCoalesced:
+		out = cacheCoalesced
+		if b != nil {
+			noteSharedAnswer(ctx, time.Since(t0))
+		}
+	case !caching:
+		out = cacheBypass
+	}
+	p.SetCacheOutcome(string(out))
+	return v, nil
 }
 
-// fromAnswerOutcome maps the store's outcome onto the engine's.
-func fromAnswerOutcome(o cache.Outcome) CacheOutcome {
-	switch o {
-	case cache.OutcomeHit:
-		return CacheHit
-	case cache.OutcomeCoalesced:
-		return CacheCoalesced
-	default:
-		return CacheMiss
-	}
-}
-
-// rebindFacets returns a shallow copy of cached facets bound to the
-// caller's own star net: the stored entry's Net points at whichever
-// equivalent net computed it first, which may belong to another
-// session.
-func rebindFacets(f *Facets, sn *StarNet) *Facets {
-	cp := *f
-	cp.Net = sn
-	return &cp
+// noteSharedAnswer marks a follower request of a batching engine: its
+// whole answer was adopted from an identical in-flight request. The
+// wait-and-adopt is recorded as a batch_shared stage, so a follower's
+// trace shows where its answer came from instead of an empty tree, and
+// the wide event flips to the follower role.
+func noteSharedAnswer(ctx context.Context, d time.Duration) {
+	telemetry.SpanFromContext(ctx).AddTimed("batch_shared", d)
+	profile.FromContext(ctx).MarkSharedAnswer()
 }
 
 // netsFootprint approximates the resident bytes of a ranked star-net

@@ -7,7 +7,24 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"kdap/internal/telemetry/profile"
 )
+
+// differentiateOutcome runs a differentiate under a fresh wide event and
+// returns the cache outcome the pipeline recorded on it.
+func differentiateOutcome(ctx context.Context, e *Engine, q string) ([]*StarNet, cacheOutcome, error) {
+	p := profile.New("query", "")
+	nets, err := e.DifferentiateCtx(profile.NewContext(ctx, p), q)
+	return nets, cacheOutcome(p.CacheOutcome()), err
+}
+
+// exploreOutcome is differentiateOutcome for an explore.
+func exploreOutcome(ctx context.Context, e *Engine, sn *StarNet, opts ExploreOptions) (*Facets, cacheOutcome, error) {
+	p := profile.New("explore", "")
+	f, err := e.ExploreCtx(profile.NewContext(ctx, p), sn, opts)
+	return f, cacheOutcome(p.CacheOutcome()), err
+}
 
 // cachedEbizEngine is ebizEngine with the answer cache on.
 func cachedEbizEngine() *Engine {
@@ -18,7 +35,7 @@ func cachedEbizEngine() *Engine {
 
 // TestAnswerCacheDifferentiateStorm is the engine-level coalescing
 // proof: N concurrent identical Differentiate calls perform the
-// pipeline exactly once — one CacheMiss, everyone else served by the
+// pipeline exactly once — one cacheMiss, everyone else served by the
 // store or the in-flight computation, all with the same answer.
 func TestAnswerCacheDifferentiateStorm(t *testing.T) {
 	const n = 16
@@ -33,16 +50,16 @@ func TestAnswerCacheDifferentiateStorm(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			nets, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD")
+			nets, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD")
 			if err != nil || len(nets) == 0 {
 				t.Errorf("goroutine %d: nets=%d err=%v", i, len(nets), err)
 				return
 			}
 			results[i] = nets
 			switch outcome {
-			case CacheMiss:
+			case cacheMiss:
 				misses.Add(1)
-			case CacheHit, CacheCoalesced:
+			case cacheHit, cacheCoalesced:
 				served.Add(1)
 			default:
 				t.Errorf("goroutine %d: unexpected outcome %v", i, outcome)
@@ -70,12 +87,12 @@ func TestAnswerCacheDifferentiateStorm(t *testing.T) {
 // same query share one cache entry.
 func TestAnswerCacheCanonicalization(t *testing.T) {
 	e := cachedEbizEngine()
-	nets1, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD")
-	if err != nil || outcome != CacheMiss {
+	nets1, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD")
+	if err != nil || outcome != cacheMiss {
 		t.Fatalf("cold: outcome=%v err=%v", outcome, err)
 	}
-	nets2, outcome, err := e.DifferentiateCachedCtx(context.Background(), "  Columbus \t LCD ")
-	if err != nil || outcome != CacheHit {
+	nets2, outcome, err := differentiateOutcome(context.Background(), e, "  Columbus \t LCD ")
+	if err != nil || outcome != cacheHit {
 		t.Fatalf("whitespace variant: outcome=%v err=%v, want hit", outcome, err)
 	}
 	if &nets1[0] != &nets2[0] {
@@ -91,10 +108,10 @@ func TestAnswerCacheCanonicalization(t *testing.T) {
 func TestAnswerCacheInvalidation(t *testing.T) {
 	e := cachedEbizEngine()
 	ctx := context.Background()
-	if _, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err != nil || outcome != CacheMiss {
+	if _, outcome, err := differentiateOutcome(ctx, e, "Columbus LCD"); err != nil || outcome != cacheMiss {
 		t.Fatalf("cold: outcome=%v err=%v", outcome, err)
 	}
-	if _, outcome, _ := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); outcome != CacheHit {
+	if _, outcome, _ := differentiateOutcome(ctx, e, "Columbus LCD"); outcome != cacheHit {
 		t.Fatalf("warm: outcome=%v, want hit", outcome)
 	}
 	v := e.DataVersion()
@@ -102,29 +119,29 @@ func TestAnswerCacheInvalidation(t *testing.T) {
 	if e.DataVersion() != v+1 {
 		t.Fatalf("DataVersion = %d, want %d", e.DataVersion(), v+1)
 	}
-	if _, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err != nil || outcome != CacheMiss {
+	if _, outcome, err := differentiateOutcome(ctx, e, "Columbus LCD"); err != nil || outcome != cacheMiss {
 		t.Fatalf("post-invalidate: outcome=%v err=%v, want miss", outcome, err)
 	}
 }
 
-// TestAnswerCacheExploreHit: a repeated explore is a CacheHit whose
+// TestAnswerCacheExploreHit: a repeated explore is a cacheHit whose
 // facets match the fresh computation exactly, rebound to the caller's
 // own net.
 func TestAnswerCacheExploreHit(t *testing.T) {
 	e := cachedEbizEngine()
 	ctx := context.Background()
-	nets, _, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD")
+	nets, _, err := differentiateOutcome(ctx, e, "Columbus LCD")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
 	opts := DefaultExploreOptions()
 
-	cold, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts)
-	if err != nil || outcome != CacheMiss {
+	cold, outcome, err := exploreOutcome(ctx, e, nets[0], opts)
+	if err != nil || outcome != cacheMiss {
 		t.Fatalf("cold explore: outcome=%v err=%v", outcome, err)
 	}
-	warm, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts)
-	if err != nil || outcome != CacheHit {
+	warm, outcome, err := exploreOutcome(ctx, e, nets[0], opts)
+	if err != nil || outcome != cacheHit {
 		t.Fatalf("warm explore: outcome=%v err=%v", outcome, err)
 	}
 	if warm.Net != nets[0] {
@@ -141,7 +158,7 @@ func TestAnswerCacheExploreHit(t *testing.T) {
 	// Option changes that shape the result are distinct cache entries.
 	opts2 := opts
 	opts2.Mode = Bellwether
-	if _, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts2); err != nil || outcome != CacheMiss {
+	if _, outcome, err := exploreOutcome(ctx, e, nets[0], opts2); err != nil || outcome != cacheMiss {
 		t.Fatalf("mode change: outcome=%v err=%v, want miss", outcome, err)
 	}
 }
@@ -152,7 +169,7 @@ func TestAnswerCacheExploreHit(t *testing.T) {
 func TestAnswerCacheCustomScoreBypass(t *testing.T) {
 	e := cachedEbizEngine()
 	ctx := context.Background()
-	nets, _, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD")
+	nets, _, err := differentiateOutcome(ctx, e, "Columbus LCD")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
@@ -162,7 +179,7 @@ func TestAnswerCacheCustomScoreBypass(t *testing.T) {
 		t.Fatal("CustomScore options produced a cache key")
 	}
 	for i := 0; i < 2; i++ {
-		if _, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts); err != nil || outcome != CacheBypass {
+		if _, outcome, err := exploreOutcome(ctx, e, nets[0], opts); err != nil || outcome != cacheBypass {
 			t.Fatalf("custom-score explore %d: outcome=%v err=%v, want bypass", i, outcome, err)
 		}
 	}
@@ -181,7 +198,7 @@ func TestAnswerCacheDisabled(t *testing.T) {
 	if _, _, ok := e.AnswerCacheStats(); ok {
 		t.Fatal("stats ok without a cache")
 	}
-	if _, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD"); err != nil || outcome != CacheBypass {
+	if _, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD"); err != nil || outcome != cacheBypass {
 		t.Fatalf("uncached differentiate: outcome=%v err=%v", outcome, err)
 	}
 }
@@ -192,7 +209,7 @@ func TestAnswerCacheCancelledNotCached(t *testing.T) {
 	e := cachedEbizEngine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err == nil {
+	if _, _, err := differentiateOutcome(ctx, e, "Columbus LCD"); err == nil {
 		t.Fatal("cancelled differentiate succeeded")
 	}
 	diff, _, ok := e.AnswerCacheStats()
@@ -200,7 +217,7 @@ func TestAnswerCacheCancelledNotCached(t *testing.T) {
 		t.Fatalf("cancelled computation left %d cached entries", diff.Len)
 	}
 	// And the next caller computes fresh, successfully.
-	if nets, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD"); err != nil || outcome != CacheMiss || len(nets) == 0 {
+	if nets, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD"); err != nil || outcome != cacheMiss || len(nets) == 0 {
 		t.Fatalf("retry after cancel: nets=%d outcome=%v err=%v", len(nets), outcome, err)
 	}
 }
@@ -210,10 +227,29 @@ func TestAnswerCacheTTL(t *testing.T) {
 	e := ebizEngine()
 	e.SetAnswerCache(16, time.Hour)
 	ctx := context.Background()
-	if _, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err != nil || outcome != CacheMiss {
+	if _, outcome, err := differentiateOutcome(ctx, e, "Columbus LCD"); err != nil || outcome != cacheMiss {
 		t.Fatalf("cold: outcome=%v err=%v", outcome, err)
 	}
-	if _, outcome, _ := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); outcome != CacheHit {
+	if _, outcome, _ := differentiateOutcome(ctx, e, "Columbus LCD"); outcome != cacheHit {
 		t.Fatalf("within TTL: outcome=%v, want hit", outcome)
+	}
+}
+
+// TestBatchedExploreCountsOneMiss: with the answer cache and batching
+// both on, a cold explore consults the answer store once — one miss,
+// no hits — and records that miss as its outcome.
+func TestBatchedExploreCountsOneMiss(t *testing.T) {
+	e := cachedEbizEngine()
+	e.SetBatching(time.Millisecond, DefaultBatchMax)
+	ctx := context.Background()
+	nets, err := e.Differentiate("Columbus LCD")
+	if err != nil || len(nets) == 0 {
+		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
+	}
+	if _, outcome, err := exploreOutcome(ctx, e, nets[0], DefaultExploreOptions()); err != nil || outcome != cacheMiss {
+		t.Fatalf("cold batched explore: outcome=%v err=%v, want miss", outcome, err)
+	}
+	if _, expl, _ := e.AnswerCacheStats(); expl.Misses != 1 || expl.Hits != 0 {
+		t.Fatalf("explore store after one cold explore: %d misses, %d hits; want 1, 0", expl.Misses, expl.Hits)
 	}
 }

@@ -4,14 +4,15 @@ package kdapcore
 // engine overwhelmingly repeat each other's OLAP work: popular queries
 // arrive in duplicate, and distinct interpretations still share roll-up
 // background spaces (every single-hit net's "all" roll-up is the same
-// full-table scan). The batcher exploits both. A request that reaches
-// the execution layer waits a small gather window for company; when the
-// batch is released, its members run concurrently over one shared scan
-// scope — a per-batch memo in which each distinct roll-up row set,
-// group-by scan, numeric series, and aggregate is computed exactly once
-// (by the first member to need it) and shared by the rest. Identical
-// whole requests collapse further: one member computes the facets, the
-// others adopt the result.
+// full-table scan). The batcher exploits both. An explore that misses
+// the answer store waits a small gather window for company (the
+// pipeline's batch-gather stage, answers.go); when the batch is
+// released, its members run concurrently over one shared scan scope — a
+// per-batch memo in which each distinct roll-up row set, group-by scan,
+// numeric series, and aggregate is computed exactly once (by the first
+// member to need it) and shared by the rest. Identical whole requests
+// collapse further in the pipeline's coalesce stage: one member
+// computes the facets, the others adopt the result.
 //
 // Determinism is inherited, not argued per call site: every memoized
 // value is produced by the same solo code path with the same inputs a
@@ -231,21 +232,20 @@ type BatchStats struct {
 	// Requests is how many requests entered a batch.
 	Requests int64
 	// SharedScans counts scan-scope computations served from another
-	// member's work instead of recomputed.
+	// member's work instead of recomputed. Whole requests that adopted
+	// an identical in-flight request's answer are counted by the answer
+	// stores (AnswerCacheStats' Coalesced).
 	SharedScans int64
-	// SharedExplores counts whole explore requests that adopted an
-	// identical in-flight member's facets.
-	SharedExplores int64
-	// SharedDifferentiates likewise for differentiate requests.
-	SharedDifferentiates int64
 }
 
 // SetBatching enables shared-scan batched execution: an explore that
-// reaches the execution layer waits up to window for concurrent company
-// and runs over a batch-shared scan scope (see ExploreBatchedCtx).
-// window <= 0 disables batching; max <= 0 means DefaultBatchMax.
-// Configure at startup — not safe to call concurrently with queries.
+// misses the answer store waits up to window for concurrent company and
+// runs over a batch-shared scan scope, and identical in-flight requests
+// of either phase coalesce (answers.go). window <= 0 disables batching;
+// max <= 0 means DefaultBatchMax. Configure at startup — not safe to
+// call concurrently with queries.
 func (e *Engine) SetBatching(window time.Duration, max int) {
+	defer e.resetAnswerStores()
 	if window <= 0 {
 		e.batch.Store(nil)
 		return
@@ -270,115 +270,10 @@ func (e *Engine) BatchSizeHistogram() *telemetry.Histogram { return e.batchSizeH
 
 // BatchStats snapshots the batched-execution counters.
 func (e *Engine) BatchStats() BatchStats {
-	st := BatchStats{
-		SharedScans:          e.scanShared.Load(),
-		SharedExplores:       e.explShared.Load(),
-		SharedDifferentiates: e.diffShared.Load(),
-	}
+	st := BatchStats{SharedScans: e.scanShared.Load()}
 	if b := e.batch.Load(); b != nil {
 		st.Batches = b.batches.Load()
 		st.Requests = b.requests.Load()
 	}
 	return st
-}
-
-// ExploreBatchedCtx is ExploreCtx through the batch scheduler: with
-// batching enabled the call gathers with its concurrent neighbors, then
-// executes over the batch's shared scan scope; identical in-flight
-// explores collapse to one computation. With batching disabled it is
-// exactly ExploreCachedCtx. Results are byte-identical to solo
-// execution either way.
-func (e *Engine) ExploreBatchedCtx(ctx context.Context, sn *StarNet, opts ExploreOptions) (*Facets, CacheOutcome, error) {
-	b := e.batch.Load()
-	if b == nil {
-		return e.ExploreCachedCtx(ctx, sn, opts)
-	}
-	// Answer-cache hits skip the gather entirely: there is nothing to
-	// batch when the finished answer is already resident.
-	key, cacheable := ExploreCacheKey(sn, opts)
-	if e.explAnswers != nil && cacheable {
-		if f, ok := e.explAnswers.Get(key); ok {
-			return rebindFacets(f, sn), CacheHit, nil
-		}
-	}
-	_, gsp := telemetry.StartSpan(ctx, "batch_gather")
-	scope, err := b.join(ctx)
-	gsp.End()
-	if err != nil {
-		return nil, CacheBypass, err
-	}
-	ctx = withScanScope(ctx, scope)
-	profile.FromContext(ctx).SetBatch(scope.batchID, scope.size)
-	if !cacheable {
-		f, err := e.exploreUncached(ctx, sn, opts)
-		return f, CacheBypass, err
-	}
-	if e.explAnswers != nil {
-		// The answer cache's own singleflight already collapses identical
-		// members; the scope still shares partial work across distinct ones.
-		t0 := time.Now()
-		f, oc, err := e.ExploreCachedCtx(ctx, sn, opts)
-		if oc == CacheCoalesced {
-			noteSharedAnswer(ctx, time.Since(t0))
-		}
-		return f, oc, err
-	}
-	t0 := time.Now()
-	f, shared, err := e.explFlight.Do(ctx, key, func(ctx context.Context) (*Facets, error) {
-		return e.exploreUncached(ctx, sn, opts)
-	})
-	if err != nil {
-		return nil, CacheBypass, err
-	}
-	if shared {
-		e.explShared.Add(1)
-		noteSharedAnswer(ctx, time.Since(t0))
-		return rebindFacets(f, sn), CacheCoalesced, nil
-	}
-	return f, CacheBypass, nil
-}
-
-// noteSharedAnswer marks a follower request: its whole answer was
-// adopted from a batch peer's in-flight computation. Before this, such
-// requests returned an empty span tree under ?trace=1 — the work
-// happened, just in a peer's goroutine — so the wait-and-adopt is
-// recorded as a batch_shared stage and the wide event flips to the
-// follower role.
-func noteSharedAnswer(ctx context.Context, d time.Duration) {
-	telemetry.SpanFromContext(ctx).AddTimed("batch_shared", d)
-	profile.FromContext(ctx).MarkSharedAnswer()
-}
-
-// DifferentiateBatchedCtx is the differentiate counterpart. The phase
-// runs no fact-table scans, so it never waits for a gather window — the
-// only batching win is collapsing identical concurrent queries, which
-// singleflight provides without adding latency.
-func (e *Engine) DifferentiateBatchedCtx(ctx context.Context, query string) ([]*StarNet, CacheOutcome, error) {
-	if e.batch.Load() == nil {
-		return e.DifferentiateCachedCtx(ctx, query)
-	}
-	if e.diffAnswers != nil {
-		// With an answer cache, differentiateCached already coalesces;
-		// mark followers the same way the explore path does.
-		t0 := time.Now()
-		nets, oc, err := e.DifferentiateCachedCtx(ctx, query)
-		if oc == CacheCoalesced {
-			noteSharedAnswer(ctx, time.Since(t0))
-		}
-		return nets, oc, err
-	}
-	key := diffAnswerKey(query, Standard)
-	t0 := time.Now()
-	nets, shared, err := e.diffFlight.Do(ctx, key, func(ctx context.Context) ([]*StarNet, error) {
-		return e.differentiateRanked(ctx, query, Standard)
-	})
-	if err != nil {
-		return nil, CacheBypass, err
-	}
-	if shared {
-		e.diffShared.Add(1)
-		noteSharedAnswer(ctx, time.Since(t0))
-		return nets, CacheCoalesced, nil
-	}
-	return nets, CacheBypass, nil
 }

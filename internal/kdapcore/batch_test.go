@@ -79,12 +79,12 @@ func TestBatchedExploreStormFingerprints(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				tc := cases[(w*rounds+r)%len(cases)]
-				nets, _, err := tc.wh.batched.DifferentiateBatchedCtx(context.Background(), tc.q)
+				nets, err := tc.wh.batched.DifferentiateCtx(context.Background(), tc.q)
 				if err != nil {
 					fail <- tc.wh.name + " " + tc.q + ": differentiate: " + err.Error()
 					return
 				}
-				f, _, err := tc.wh.batched.ExploreBatchedCtx(context.Background(), nets[0], opts)
+				f, err := tc.wh.batched.ExploreCtx(context.Background(), nets[0], opts)
 				a := want[tc.wh.name+"|"+tc.q]
 				if err != nil {
 					if a.err != err.Error() {
@@ -110,8 +110,9 @@ func TestBatchedExploreStormFingerprints(t *testing.T) {
 		if st.Batches == 0 {
 			t.Errorf("%s: no batch ever released: %+v", wh.name, st)
 		}
-		if st.SharedExplores == 0 && st.SharedScans == 0 {
-			t.Errorf("%s: a duplicated storm shared nothing: %+v", wh.name, st)
+		_, expl, _ := wh.batched.AnswerCacheStats()
+		if expl.Coalesced == 0 && st.SharedScans == 0 {
+			t.Errorf("%s: a duplicated storm shared nothing: %+v, %+v", wh.name, st, expl)
 		}
 	}
 }
@@ -129,7 +130,7 @@ func TestBatchGatherCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.ExploreBatchedCtx(ctx, nets[0], opts); err != context.Canceled {
+	if _, err := e.ExploreCtx(ctx, nets[0], opts); err != context.Canceled {
 		t.Fatalf("cancelled gather returned %v, want context.Canceled", err)
 	}
 
@@ -138,7 +139,7 @@ func TestBatchGatherCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := e.ExploreBatchedCtx(context.Background(), nets[0], opts)
+	got, err := e.ExploreCtx(context.Background(), nets[0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -173,8 +174,8 @@ func TestDifferentiateSingleKeywordSubspace(t *testing.T) {
 
 func TestStandardRankingPrefersPhrase(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.DifferentiateRanked("San Jose", Standard)
-	baseNets, _ := e.DifferentiateRanked("San Jose", Baseline)
+	nets, _ := e.DifferentiateRankedCtx(context.Background(), "San Jose", Standard)
+	baseNets, _ := e.DifferentiateRankedCtx(context.Background(), "San Jose", Baseline)
 	if len(nets) == 0 || len(baseNets) == 0 {
 		t.Fatal("no nets")
 	}

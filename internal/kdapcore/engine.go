@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"kdap/internal/cache"
 	"kdap/internal/fulltext"
@@ -55,32 +56,29 @@ type Engine struct {
 	// scatter.go for the exactness and degradation contract.
 	scatter RowScatterer
 
-	// Answer caches: finished Differentiate and Explore results, enabled
-	// by SetAnswerCache (nil = disabled). See answers.go.
-	diffAnswers *cache.Answers[[]*StarNet]
-	explAnswers *cache.Answers[*Facets]
+	// Answer stores, one per phase: each is its phase's only
+	// whole-request singleflight, and keeps finished answers when the
+	// answer cache is on (answerEntries > 0). nil when the engine
+	// neither caches nor batches. See answers.go.
+	diffAnswers   *cache.Answers[[]*StarNet]
+	explAnswers   *cache.Answers[*Facets]
+	answerEntries int
+	answerTTL     time.Duration
 	// dataVersion stamps the dataset generation; InvalidateAnswers
 	// advances it, retiring cached answers and HTTP ETags together.
 	dataVersion atomic.Uint64
 
-	// Shared-scan batching state (see batch.go): the gather scheduler,
-	// whole-request singleflights for engines running without an answer
-	// cache, and the counters BatchStats reports.
+	// Shared-scan batching state (see batch.go): the gather scheduler
+	// and the counters BatchStats reports.
 	batch         atomic.Pointer[batcher]
-	explFlight    cache.Group[string, *Facets]
-	diffFlight    cache.Group[string, []*StarNet]
 	batchSizeHist *telemetry.Histogram
 	scanShared    atomic.Int64
-	explShared    atomic.Int64
-	diffShared    atomic.Int64
 
 	// Streaming-ingest state (see ingest.go): the single-writer append
 	// gate, the per-append sequence that feeds HTTP revalidation tags,
-	// the explore-key → star-net registry behind delta-scoped answer
-	// eviction, and the kdap_ingest_* counters.
+	// and the kdap_ingest_* counters.
 	ingestMu      sync.Mutex
 	ingestSeq     atomic.Uint64
-	exploreDeps   *cache.Clock[string, *StarNet]
 	ingestBatches atomic.Int64
 	ingestRows    atomic.Int64
 	ingestTerms   atomic.Int64
@@ -184,20 +182,22 @@ func (e *Engine) DifferentiateCtx(ctx context.Context, query string) ([]*StarNet
 	return e.DifferentiateRankedCtx(ctx, query, Standard)
 }
 
-// DifferentiateRanked is Differentiate with an explicit ranking method
-// (the Figure 4 evaluation sweeps all four).
-func (e *Engine) DifferentiateRanked(query string, method RankMethod) ([]*StarNet, error) {
-	return e.DifferentiateRankedCtx(context.Background(), query, method)
-}
-
-// DifferentiateRankedCtx is the traced differentiate pipeline, served
-// through the answer cache when one is configured (SetAnswerCache).
+// DifferentiateRankedCtx is DifferentiateCtx with an explicit ranking
+// method (the Figure 4 evaluation sweeps all four), run through the
+// request pipeline the engine has configured (answers.go). The
+// returned nets may be shared with other callers — treat as immutable.
 func (e *Engine) DifferentiateRankedCtx(ctx context.Context, query string, method RankMethod) ([]*StarNet, error) {
-	nets, _, err := e.differentiateCached(ctx, query, method)
-	return nets, err
+	var key string
+	if e.diffAnswers != nil {
+		key = diffAnswerKey(query, method)
+	}
+	return serve(ctx, e, e.diffAnswers, key, false, func(ctx context.Context) ([]*StarNet, bool, error) {
+		nets, err := e.differentiateRanked(ctx, query, method)
+		return nets, true, err
+	})
 }
 
-// differentiateRanked is the uncached differentiate pipeline.
+// differentiateRanked is the differentiate pipeline's compute stage.
 func (e *Engine) differentiateRanked(ctx context.Context, query string, method RankMethod) ([]*StarNet, error) {
 	ctx, root := telemetry.StartSpan(ctx, "differentiate")
 	defer root.End()

@@ -197,20 +197,46 @@ func (e *Engine) Explore(sn *StarNet, opts ExploreOptions) (*Facets, error) {
 	return e.ExploreCtx(context.Background(), sn, opts)
 }
 
-// ExploreCtx is Explore under a context; when a telemetry.Trace is
-// attached, the stages of §5's facet construction are recorded as spans
+// ExploreCtx is Explore under a context, run through the request
+// pipeline the engine has configured (answers.go): the answer cache,
+// batch gather and coalescing. When a telemetry.Trace is attached, the
+// stages of §5's facet construction are recorded as spans
 // (subspace_semijoin → rollup_build → facet_score with per-attribute
 // children → groupby_kernel / numeric_series / interval_anneal leaves).
 // Stages attach directly under the caller's current span — traced
 // callers name their trace root "explore", so no wrapper span is added
-// here. When an answer cache is configured (SetAnswerCache), repeated
-// and concurrent identical explores are served through it.
+// here. The returned facets are bound to sn; their inner structure may
+// be shared with other callers and must be treated as immutable.
 func (e *Engine) ExploreCtx(ctx context.Context, sn *StarNet, opts ExploreOptions) (*Facets, error) {
-	f, _, err := e.ExploreCachedCtx(ctx, sn, opts)
-	return f, err
+	store := e.explAnswers
+	var key string
+	if store != nil {
+		var ok bool
+		if key, ok = ExploreCacheKey(sn, opts); !ok {
+			store = nil
+		}
+	}
+	f, err := serve(ctx, e, store, key, true, func(ctx context.Context) (*Facets, bool, error) {
+		f, err := e.exploreUncached(ctx, sn, opts)
+		if err != nil {
+			return nil, false, err
+		}
+		// A deadline-degraded result answers this caller alone: it must
+		// not shadow the complete answer for everyone after it.
+		return f, !f.Partial, nil
+	})
+	if err != nil || f.Net == sn {
+		return f, err
+	}
+	// A stored or shared answer's Net is whichever equivalent net
+	// computed it first, which may belong to another session.
+	cp := *f
+	cp.Net = sn
+	return &cp, nil
 }
 
-// exploreUncached is the facet-construction pipeline itself.
+// exploreUncached is the explore pipeline's compute stage: facet
+// construction itself.
 func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreOptions) (*Facets, error) {
 	if opts.TopKAttrs <= 0 || opts.TopKInstances <= 0 || opts.Buckets <= 0 {
 		return nil, fmt.Errorf("kdap: non-positive explore options")
@@ -265,11 +291,12 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 	// Lay out the scoring work: promoted facets are cheap and built
 	// inline, candidate attributes become jobs that may run in parallel.
 	type job struct {
-		dim  int
-		attr schemagraph.AttrRef
-		role string
-		out  *AttrFacet
-		err  error
+		dim      int
+		attr     schemagraph.AttrRef
+		role     string
+		out      *AttrFacet
+		err      error
+		panicked any // a recovered panic of a parallel job, re-raised below
 	}
 	dfs := make([]*DimensionFacets, len(dims))
 	var jobs []*job
@@ -322,11 +349,21 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 			sem <- struct{}{}
 			go func(j *job) {
 				defer wg.Done()
+				defer func() { <-sem }()
+				// A panic escaping this goroutine would kill the process.
+				// Carry it to the request goroutine instead, where the
+				// HTTP server (and a coalesced leader's release of its
+				// waiters) contains it.
+				defer func() { j.panicked = recover() }()
 				runJob(j)
-				<-sem
 			}(j)
 		}
 		wg.Wait()
+		for _, j := range jobs {
+			if j.panicked != nil {
+				panic(j.panicked)
+			}
+		}
 	} else {
 		for _, j := range jobs {
 			runJob(j)
@@ -425,22 +462,15 @@ func (e *Engine) generalizeConstraint(c olap.Constraint, role string) (olap.Cons
 	return olap.Constraint{Table: parent.Table, Attr: parent.Attr, Values: parentVals, Path: ppath}, true
 }
 
-// buildRollups produces one background space per hitted group by
+// buildRollupsCtx produces one background space per hitted group by
 // generalizing that group to the parent level of its hierarchy (§5.2.1's
 // roll-up partitioning). When generalizing one level does not actually
 // enlarge the subspace — the hit value is its parent's only child, like a
 // state's single city — the roll-up climbs further, and a hit with no
 // (remaining) hierarchy parent rolls all the way up by dropping its
-// constraint.
-func (e *Engine) buildRollups(sn *StarNet) []rollup {
-	out, _ := e.buildRollupsCtx(context.Background(), sn)
-	return out
-}
-
-// buildRollupsCtx is buildRollups under a cancellable context: each
-// per-group semijoin and aggregate goes through the ctx-first executor
-// entry points, so a cancelled explore stops between (or inside) the
-// roll-up computations.
+// constraint. Each per-group semijoin and aggregate goes through the
+// ctx-first executor entry points, so a cancelled explore stops between
+// (or inside) the roll-up computations.
 func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet) ([]rollup, error) {
 	base := sn.Constraints() // merged: one constraint per attribute domain
 	baseRows, err := e.subspaceRowsCtx(ctx, sn)

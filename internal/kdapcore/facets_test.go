@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -338,7 +339,10 @@ func TestRollupSuperset(t *testing.T) {
 	for _, r := range rows {
 		inRows[r] = true
 	}
-	rollups := e.buildRollups(sn)
+	rollups, err := e.buildRollupsCtx(context.Background(), sn)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rollups) == 0 {
 		t.Fatal("no rollups for a hitted net")
 	}
@@ -366,12 +370,42 @@ func TestRollupSuperset(t *testing.T) {
 // stores; the LCD hit at GroupName level widens to its LineName parent.
 func TestRollupLevels(t *testing.T) {
 	e, sn, _ := exploreColumbusLCD(t, Surprise)
-	rollups := e.buildRollups(sn)
+	rollups, err := e.buildRollupsCtx(context.Background(), sn)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dims := map[string]bool{}
 	for _, ru := range rollups {
 		dims[ru.dim] = true
 	}
 	if !dims["Store"] || !dims["Product"] {
 		t.Errorf("rollup dims = %v, want Store and Product", dims)
+	}
+}
+
+// A panic in attribute scoring reaches the caller of Explore in both
+// scoring modes. In parallel mode the scoring runs in worker goroutines,
+// where an unrecovered panic would kill the whole process instead of
+// failing the one request; the worker recovers it and the request
+// goroutine re-raises it after every worker has finished.
+func TestFacetScoringPanicReachesCaller(t *testing.T) {
+	e, sn, _ := exploreColumbusLCD(t, Surprise)
+	for _, parallel := range []bool{false, true} {
+		opts := DefaultExploreOptions()
+		opts.Parallel = parallel
+		opts.CustomScore = func(float64) float64 { panic("score boom") }
+		func() {
+			defer func() {
+				if r := recover(); r != "score boom" {
+					t.Errorf("parallel=%v: recovered %v, want the scorer's panic", parallel, r)
+				}
+			}()
+			_, _ = e.ExploreCtx(context.Background(), sn, opts)
+			t.Errorf("parallel=%v: explore returned instead of panicking", parallel)
+		}()
+	}
+	// The engine still serves after both panics.
+	if _, err := e.Explore(sn, DefaultExploreOptions()); err != nil {
+		t.Fatalf("explore after scorer panics: %v", err)
 	}
 }

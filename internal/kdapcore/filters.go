@@ -194,19 +194,13 @@ func (e *Engine) extractFilters(keywords []string) (filters []NumericFilter, res
 	return filters, rest, nil
 }
 
-// applyFilters narrows fact rows by every predicate.
-func (e *Engine) applyFilters(rows []int, filters []NumericFilter) []int {
-	out, _ := e.applyFiltersCtx(context.Background(), rows, filters)
-	return out
-}
-
 // filterCheckRows is the stride between ctx.Err() checks in the fact-
 // column predicate loop (the dimension branch delegates its own checks
 // to FilterRowsNumericCtx).
 const filterCheckRows = 8192
 
-// applyFiltersCtx is applyFilters under a cancellable context, checking
-// between predicates and every filterCheckRows rows within one.
+// applyFiltersCtx narrows fact rows by every predicate, checking the
+// context between predicates and every filterCheckRows rows within one.
 func (e *Engine) applyFiltersCtx(ctx context.Context, rows []int, filters []NumericFilter) ([]int, error) {
 	fact := e.graph.DB().Table(e.graph.FactTable())
 	done := ctx.Done()

@@ -27,13 +27,13 @@ package kdapcore
 //
 // Invalidation rules:
 //
-//   - Explore answers: the answer for key k (net sn) depends on the
-//     rows of its subspace (filters ∧ all constraints) and of each
-//     roll-up background space. Every such space is contained in some
-//     "drop one constraint" variant (filters ∧ ⋀_{j≠i} c_j), so k is
-//     evicted iff some variant admits an appended row. Keys whose
-//     provenance is unknown (evicted from the exploreDeps registry) are
-//     evicted conservatively.
+//   - Explore answers: the answer stored under key k depends on the
+//     rows of its net's subspace (filters ∧ all constraints) and of
+//     each roll-up background space. Every such space is contained in
+//     some "drop one constraint" variant (filters ∧ ⋀_{j≠i} c_j), so k
+//     is evicted iff some variant admits an appended row. The net is
+//     read from the stored answer itself (Facets.Net), so every entry's
+//     scope is known.
 //   - Differentiate answers: they depend only on the schema graph and
 //     the full-text index, so they are evicted only when the batch
 //     added new postings (new values in fact full-text columns) —
@@ -191,42 +191,34 @@ func (e *Engine) evictForAppend(lo, hi int, newTerms bool) (expl, diff, kept int
 	if newTerms {
 		// New postings can change hit sets and therefore every
 		// differentiate answer; plain measure appends change none.
-		diff = e.diffAnswers.EvictIf(func(string) bool { return true })
+		diff = e.diffAnswers.EvictIf(func(string, []*StarNet) bool { return true })
 	}
 	return expl, diff, kept
 }
 
 // appendEvictionPred builds the delta-scope predicate for one appended
-// row range. The predicate is memoized per key because the answer
-// store re-applies it to late puts from computations that began before
-// the append (cache.Answers); the decision is deterministic either
-// way, the memo just skips repeat bitset walks.
-func (e *Engine) appendEvictionPred(lo, hi int) func(key string) bool {
+// row range: rows [lo, hi) affect the answer f iff they intersect the
+// dependency scope of f.Net. The predicate is memoized per key (a key
+// fixes the net's signature, hence its scope) because the answer store
+// re-applies it to late puts from computations that began before the
+// append (cache.Answers); the decision is deterministic either way, the
+// memo just skips repeat bitset walks.
+func (e *Engine) appendEvictionPred(lo, hi int) func(key string, f *Facets) bool {
 	var mu sync.Mutex
 	memo := make(map[string]bool)
-	return func(key string) bool {
+	return func(key string, f *Facets) bool {
 		mu.Lock()
 		v, ok := memo[key]
 		mu.Unlock()
 		if ok {
 			return v
 		}
-		v = e.appendTouchesKey(key, lo, hi)
+		v = e.appendIntersects(context.Background(), f.Net, lo, hi)
 		mu.Lock()
 		memo[key] = v
 		mu.Unlock()
 		return v
 	}
-}
-
-// appendTouchesKey decides whether rows [lo, hi) can affect the explore
-// answer stored under key. Unknown provenance evicts conservatively.
-func (e *Engine) appendTouchesKey(key string, lo, hi int) bool {
-	sn, ok := e.exploreDeps.Get(key)
-	if !ok {
-		return true
-	}
-	return e.appendIntersects(context.Background(), sn, lo, hi)
 }
 
 // appendIntersects reports whether any appended row falls inside the

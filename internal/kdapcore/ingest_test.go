@@ -41,17 +41,17 @@ func emptySubspaceErr(err error) bool {
 
 // cachedFingerprint resolves a query to its top net's facet fingerprint
 // through the answer cache, reporting how the explore was served.
-func cachedFingerprint(t *testing.T, e *Engine, q string, opts ExploreOptions) ([]byte, CacheOutcome) {
+func cachedFingerprint(t *testing.T, e *Engine, q string, opts ExploreOptions) ([]byte, cacheOutcome) {
 	t.Helper()
 	ctx := context.Background()
-	nets, _, err := e.DifferentiateCachedCtx(ctx, q)
+	nets, _, err := differentiateOutcome(ctx, e, q)
 	if err != nil {
 		t.Fatalf("differentiate %q: %v", q, err)
 	}
 	if len(nets) == 0 {
 		t.Fatalf("differentiate %q: no interpretations", q)
 	}
-	f, out, err := e.ExploreCachedCtx(ctx, nets[0], opts)
+	f, out, err := exploreOutcome(ctx, e, nets[0], opts)
 	if emptySubspaceErr(err) {
 		return []byte("empty sub-dataspace"), out
 	}
@@ -124,7 +124,7 @@ func TestAppendCacheConsistencyProperty(t *testing.T) {
 	changed, hits := 0, 0
 	for i, q := range qs {
 		post, out := cachedFingerprint(t, e, q.Text, opts)
-		if out == CacheHit {
+		if out == cacheHit {
 			hits++
 			if !bytes.Equal(post, pre[i]) {
 				t.Errorf("%q: served as a cache hit but differs from its pre-append answer", q.Text)
@@ -132,7 +132,7 @@ func TestAppendCacheConsistencyProperty(t *testing.T) {
 		}
 		if !bytes.Equal(post, pre[i]) {
 			changed++
-			if out == CacheHit {
+			if out == cacheHit {
 				t.Errorf("%q: answer changed across the append yet its key was not evicted", q.Text)
 			}
 		}
@@ -181,7 +181,7 @@ func TestAppendEvictionKeepsSoundAnswers(t *testing.T) {
 			post, out := cachedFingerprint(t, e, query, opts)
 			if res.KeptExplore == 1 {
 				kept++
-				if out != CacheHit {
+				if out != cacheHit {
 					t.Errorf("product=%d trans=%d: answer kept but repeat not served as a hit (%v)", productKey, transKey, out)
 				}
 				if !bytes.Equal(post, pre) {
@@ -342,7 +342,7 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 				default:
 				}
 				q := queries[(w+i)%len(queries)]
-				nets, _, err := e.DifferentiateCachedCtx(ctx, q)
+				nets, _, err := differentiateOutcome(ctx, e, q)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d differentiate %q: %w", w, q, err)
 					return
@@ -350,7 +350,7 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 				if len(nets) == 0 {
 					continue
 				}
-				if _, _, err := e.ExploreCachedCtx(ctx, nets[0], opts); err != nil && !emptySubspaceErr(err) {
+				if _, _, err := exploreOutcome(ctx, e, nets[0], opts); err != nil && !emptySubspaceErr(err) {
 					errs <- fmt.Errorf("worker %d explore %q: %w", w, q, err)
 					return
 				}

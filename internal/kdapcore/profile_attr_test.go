@@ -41,7 +41,7 @@ func TestBatchedFollowerAttribution(t *testing.T) {
 			p := profile.New("explore", "")
 			tr := telemetry.NewTrace("explore")
 			ctx := profile.NewContext(tr.Context(context.Background()), p)
-			_, _, err := e.ExploreBatchedCtx(ctx, nets[0], opts)
+			_, err := e.ExploreCtx(ctx, nets[0], opts)
 			tr.Finish()
 			p.SetStages(tr.Stages())
 			p.Finish(0, profile.DispositionOK, nil)
@@ -100,7 +100,7 @@ func TestUnbatchedProfileHasNoBatchFields(t *testing.T) {
 	}
 	p := profile.New("explore", "")
 	ctx := profile.NewContext(context.Background(), p)
-	if _, _, err := e.ExploreBatchedCtx(ctx, nets[0], DefaultExploreOptions()); err != nil {
+	if _, err := e.ExploreCtx(ctx, nets[0], DefaultExploreOptions()); err != nil {
 		t.Fatal(err)
 	}
 	p.Finish(0, profile.DispositionOK, nil)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"kdap/internal/dataset"
 )
@@ -229,5 +230,46 @@ func TestAnswerCacheMetricsExported(t *testing.T) {
 	if !strings.Contains(text, `kdap_answer_cache_hits_total{db="ebiz",phase="differentiate"} 1`) &&
 		!strings.Contains(text, `kdap_answer_cache_hits_total{phase="differentiate",db="ebiz"} 1`) {
 		t.Error("differentiate hit not counted after warm query")
+	}
+}
+
+// TestBatchingWithoutAnswerCache: with batching on and the answer cache
+// off, requests that compute are bypasses (nothing is kept), and the
+// one whole-request sharing counter is exported without the rest of
+// the answer-cache series.
+func TestBatchingWithoutAnswerCache(t *testing.T) {
+	opts := DefaultOptions()
+	opts.AnswerCacheSize = 0
+	opts.BatchWindow = 2 * time.Millisecond
+	srv := NewWithOptions(map[string]*dataset.Warehouse{"ebiz": dataset.EBiz()}, opts)
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	raw, r := postRaw(t, ts, "/api/query", map[string]any{"db": "ebiz", "q": "Columbus LCD"}, nil)
+	if got := r.Header.Get("X-KDAP-Cache"); got != "bypass" {
+		t.Fatalf("query X-KDAP-Cache = %q, want bypass", got)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(raw, &qr); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		_, r := postRaw(t, ts, "/api/explore", map[string]any{"session": qr.Session, "pick": 1}, nil)
+		if got := r.Header.Get("X-KDAP-Cache"); got != "bypass" {
+			t.Fatalf("explore %d X-KDAP-Cache = %q, want bypass", i, got)
+		}
+	}
+	m, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Body.Close()
+	metrics, _ := io.ReadAll(m.Body)
+	if !strings.Contains(string(metrics), "kdap_answer_cache_coalesced_total") {
+		t.Error("coalesced counter not exported by a batching engine")
+	}
+	if strings.Contains(string(metrics), "kdap_answer_cache_hits_total") {
+		t.Error("answer-cache hit series exported with caching disabled")
 	}
 }

@@ -495,7 +495,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Every query is traced so /metrics carries per-stage latency; the
 	// tree is serialized into the response only behind ?trace=1.
 	tr, ctx := traceRequest(r, "query")
-	nets, outcome, err := e.DifferentiateBatchedCtx(ctx, req.Q)
+	nets, err := e.DifferentiateCtx(ctx, req.Q)
 	tr.Finish()
 	s.observeStages(tr)
 	p.SetStages(tr.Stages())
@@ -503,14 +503,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writePipelineError(w, r, "/api/query", err, http.StatusBadRequest)
 		return
 	}
-	p.SetCacheOutcome(outcome.String())
 	if len(nets) > limit {
 		nets = nets[:limit]
 	}
 	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
-	w.Header().Set(cacheHeaderName, outcome.String())
+	w.Header().Set(cacheHeaderName, p.CacheOutcome())
 	id := s.putSession(&session{db: req.DB, nets: nets})
 	resp := QueryResponse{Session: id, Query: req.Q}
 	if wantTrace(r) {
@@ -666,7 +665,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	tr, ctx := traceRequest(r, "explore")
-	f, outcome, err := e.ExploreBatchedCtx(ctx, sn, opts)
+	f, err := e.ExploreCtx(ctx, sn, opts)
 	tr.Finish()
 	s.observeStages(tr)
 	p.SetStages(tr.Stages())
@@ -674,7 +673,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		s.writePipelineError(w, r, "/api/explore", err, http.StatusUnprocessableEntity)
 		return
 	}
-	p.SetCacheOutcome(outcome.String())
 	if s.cluster != nil && f.Partial && len(f.DegradedNodes) > 0 {
 		s.cluster.PartialAnswer()
 	}
@@ -683,7 +681,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if etag != "" && !f.Partial {
 		w.Header().Set("ETag", etag)
 	}
-	w.Header().Set(cacheHeaderName, outcome.String())
+	w.Header().Set(cacheHeaderName, p.CacheOutcome())
 	dto := facetsDTO(f)
 	if wantTrace(r) {
 		dto.Trace = tr.JSON()

@@ -192,12 +192,6 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		s.reg.CounterFunc("kdap_batch_shared_scans_total",
 			"Scan-scope computations served from a batch neighbor's work instead of recomputed.",
 			func() float64 { return float64(bst().SharedScans) }, "db", db)
-		s.reg.CounterFunc("kdap_batch_shared_answers_total",
-			"Whole requests that adopted an identical in-flight batch member's result, by phase.",
-			func() float64 { return float64(bst().SharedExplores) }, "phase", "explore", "db", db)
-		s.reg.CounterFunc("kdap_batch_shared_answers_total",
-			"Whole requests that adopted an identical in-flight batch member's result, by phase.",
-			func() float64 { return float64(bst().SharedDifferentiates) }, "phase", "differentiate", "db", db)
 		s.reg.RegisterHistogram("kdap_batch_size",
 			"Requests gathered per released batch (bucket bounds are counts, not seconds).",
 			e.BatchSizeHistogram(), "db", db)
@@ -224,7 +218,10 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		"Cached explore answers that survived an ingest batch under delta-scoped invalidation, by warehouse.",
 		func() float64 { return float64(ist().KeptAnswers) }, "db", db)
 
-	if e.AnswerCacheEnabled() {
+	// The answer stores exist whenever the engine coalesces (answer cache
+	// or batching on); with batching alone they keep nothing, so only the
+	// coalesced counter is meaningful.
+	if _, _, coalesces := e.AnswerCacheStats(); coalesces {
 		for _, p := range []struct {
 			phase string
 			fn    func() cache.AnswerStats
@@ -233,6 +230,12 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 			{"explore", func() cache.AnswerStats { _, x, _ := e.AnswerCacheStats(); return x }},
 		} {
 			fn := p.fn
+			s.reg.CounterFunc("kdap_answer_cache_coalesced_total",
+				"Requests that waited on an identical in-flight computation and shared its result, by phase and warehouse.",
+				func() float64 { return float64(fn().Coalesced) }, "phase", p.phase, "db", db)
+			if !e.AnswerCacheEnabled() {
+				continue
+			}
 			s.reg.CounterFunc("kdap_answer_cache_hits_total",
 				"Answer cache hits by phase and warehouse.",
 				func() float64 { return float64(fn().Hits) }, "phase", p.phase, "db", db)
@@ -242,9 +245,6 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 			s.reg.CounterFunc("kdap_answer_cache_evictions_total",
 				"Answer cache evictions (capacity, TTL expiry, and version-stamp invalidation) by phase and warehouse.",
 				func() float64 { return float64(fn().Evictions) }, "phase", p.phase, "db", db)
-			s.reg.CounterFunc("kdap_answer_cache_coalesced_total",
-				"Requests that waited on an identical in-flight computation and shared its result, by phase and warehouse.",
-				func() float64 { return float64(fn().Coalesced) }, "phase", p.phase, "db", db)
 			s.reg.GaugeFunc("kdap_answer_cache_entries",
 				"Answers currently stored, by phase and warehouse.",
 				func() float64 { return float64(fn().Len) }, "phase", p.phase, "db", db)

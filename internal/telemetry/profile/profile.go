@@ -150,6 +150,17 @@ func (p *P) SetCacheOutcome(o string) {
 	p.mu.Unlock()
 }
 
+// CacheOutcome returns the recorded answer-cache disposition ("" when
+// none was recorded or p is nil).
+func (p *P) CacheOutcome() string {
+	if p == nil {
+		return ""
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cacheOutcome
+}
+
 // SetQueueWait records time spent in the admission queue.
 func (p *P) SetQueueWait(d time.Duration) {
 	if p == nil {

@@ -88,21 +88,9 @@ type RankMethod = kdapcore.RankMethod
 // AnnealConfig parameterizes the numeric interval merge (Algorithm 2).
 type AnnealConfig = kdapcore.AnnealConfig
 
-// CacheOutcome reports how an answer-cached engine call was served
-// (bypass, miss, hit, or coalesced) — see Engine.SetAnswerCache.
-type CacheOutcome = kdapcore.CacheOutcome
-
 // AnswerCacheStats snapshots one answer cache's counters
 // (Engine.AnswerCacheStats).
 type AnswerCacheStats = cache.AnswerStats
-
-// Answer-cache outcomes.
-const (
-	CacheBypass    = kdapcore.CacheBypass
-	CacheMiss      = kdapcore.CacheMiss
-	CacheHit       = kdapcore.CacheHit
-	CacheCoalesced = kdapcore.CacheCoalesced
-)
 
 // MergeResult is the outcome of a numeric interval merge.
 type MergeResult = kdapcore.MergeResult

@@ -3,7 +3,13 @@
 # query must be served from the cache (X-KDAP-Cache: hit) with a
 # byte-for-byte identical explore body, and If-None-Match must
 # revalidate to 304. (Metric/doc agreement is scripts/metrics_drift.sh,
-# which checks both directions.) Run from the repository root.
+# which checks both directions.) Extra arguments are passed to kdapd, so
+# the same contract can be checked under other serving configurations:
+#
+#   bash scripts/cache_smoke.sh                    # kdapd defaults
+#   bash scripts/cache_smoke.sh -batch-window 2ms  # through the batch gather
+#
+# Run from the repository root.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18080}"
@@ -11,7 +17,7 @@ QUERY_BODY='{"db":"ebiz","q":"Columbus LCD"}'
 TMP="$(mktemp -d)"
 
 go build -o "$TMP/kdapd" ./cmd/kdapd
-"$TMP/kdapd" -addr "$ADDR" -db ebiz -log json 2>"$TMP/kdapd.log" &
+"$TMP/kdapd" -addr "$ADDR" -db ebiz -log json "$@" 2>"$TMP/kdapd.log" &
 KDAPD_PID=$!
 cleanup() {
   status=$?
